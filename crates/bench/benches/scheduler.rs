@@ -1,5 +1,7 @@
 //! Criterion bench for the Tangram scheduler's arrival path (stitch +
-//! estimate + decide, per Algorithm 2).
+//! estimate + decide, per Algorithm 2). Arrivals extend the open
+//! stitching incrementally, so the time per patch should stay flat from
+//! `x16` to `x256`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use tangram_core::scheduler::{SchedulerConfig, TangramScheduler};
@@ -35,7 +37,7 @@ fn bench_scheduler(c: &mut Criterion) {
         Size::CANVAS_1024,
         9,
     );
-    for n in [16usize, 64] {
+    for n in [16usize, 64, 256] {
         let work = patches(n);
         let est = estimator.clone();
         c.bench_function(format!("scheduler_on_patch_x{n}"), |b| {

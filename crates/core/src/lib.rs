@@ -4,7 +4,8 @@
 //! to evaluate it end to end:
 //!
 //! * [`scheduler`] — the **online SLO-aware batching invoker**
-//!   (Algorithm 2): patches are re-stitched on every arrival, a
+//!   (Algorithm 2): each arrival extends the open canvases (equivalent
+//!   to the paper's re-stitch of the whole queue), a
 //!   conservative µ+3σ latency estimate sets the invoke-by time
 //!   `t_remain = t_DDL − T_slack`, and batches dispatch exactly when
 //!   waiting longer would risk the SLO (or the GPU-memory bound of

@@ -1,20 +1,30 @@
 //! The online SLO-aware batching invoker — Algorithm 2 of the paper.
 //!
 //! State: a queue `Q` of pending patches and its current stitching `C`
-//! (a set of canvases). On every patch arrival the scheduler
+//! (a set of open canvases). On every patch arrival the scheduler
 //!
-//! 1. appends the patch to `Q`, takes the earliest deadline
-//!    `t_DDL = min t_ddl_i`, saves the previous canvases `C_old`;
-//! 2. re-stitches `Q` with the Patch-stitching Solver and asks the
-//!    Latency Estimator for the conservative execution bound
-//!    `T_slack = µ + 3σ` of the new canvas set;
+//! 1. takes the earliest deadline `t_DDL = min t_ddl_i` over `Q` and the
+//!    new patch (kept as a running minimum);
+//! 2. probes the open stitching for the patch — does any open canvas
+//!    have room, or would it open a new one? — and asks the Latency
+//!    Estimator for the conservative execution bound `T_slack = µ + 3σ`
+//!    of the resulting canvas count;
 //! 3. computes the invoke-by instant `t_remain = t_DDL − T_slack`;
 //! 4. if `t_remain` is already in the past — adding this patch would
-//!    break the SLO — or the canvases no longer fit the function's GPU
-//!    memory (constraint (5)), it dispatches `C_old` immediately and
-//!    restarts the queue with just the new patch;
-//! 5. otherwise it (re-)arms a timer for `t_remain`; when the clock
-//!    reaches it, the whole canvas set dispatches as one batch.
+//!    break the SLO — or the canvases would no longer fit the function's
+//!    GPU memory (constraint (5)), it dispatches the open canvases
+//!    `C_old` immediately and restarts the queue with just the new patch;
+//!    otherwise the patch joins the open canvases;
+//! 5. (re-)arms a timer for `t_remain`; when the clock reaches it, the
+//!    whole canvas set dispatches as one batch.
+//!
+//! Algorithm 2 re-stitches the whole queue on every arrival. The solver
+//! is online first-fit in queue order and `Q` only grows between
+//! dispatches, so re-stitching `Q + p` yields exactly the canvases of
+//! inserting `p` into the open stitching: the scheduler extends the open
+//! stitching by one patch per arrival ([`OpenStitching`]), which is
+//! equivalent to Algorithm 2 at a cost linear in the open canvases
+//! rather than in the queue.
 //!
 //! The scheduler is a pure state machine (no IO, no clock reads): both
 //! the discrete-event engine and the live threaded runtime drive it with
@@ -23,10 +33,10 @@
 use crate::policy::{Arrival, BatchSpec, BatchingPolicy, PolicyOutput};
 use tangram_infer::estimator::LatencyEstimator;
 use tangram_stitch::canvas::Canvas;
-use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver};
+use tangram_stitch::solver::{split_to_fit, OpenStitching};
 use tangram_types::geometry::Size;
 use tangram_types::patch::PatchInfo;
-use tangram_types::time::{SimDuration, SimTime};
+use tangram_types::time::SimTime;
 
 /// Static configuration of the Tangram scheduler.
 #[derive(Debug, Clone)]
@@ -62,12 +72,13 @@ impl SchedulerConfig {
 /// The Tangram scheduler (Algorithm 2).
 pub struct TangramScheduler {
     config: SchedulerConfig,
-    solver: PatchStitchingSolver,
     estimator: LatencyEstimator,
     /// The pending queue `Q`.
     queue: Vec<PatchInfo>,
     /// Current stitching `C` of `queue`.
-    canvases: Vec<Canvas>,
+    stitching: OpenStitching,
+    /// Earliest and latest deadline in `queue` (`None` when empty).
+    deadlines: Option<(SimTime, SimTime)>,
     /// Armed invoke-by instant (`t_remain`), if any.
     invoke_by: Option<SimTime>,
     /// Latest observed backend earliest-start (admission-aware mode only;
@@ -93,13 +104,13 @@ impl TangramScheduler {
             config.canvas_size,
             "estimator profiled for a different canvas size"
         );
-        let solver = PatchStitchingSolver::new(config.canvas_size);
+        let stitching = OpenStitching::new(config.canvas_size);
         Self {
             config,
-            solver,
             estimator,
             queue: Vec::new(),
-            canvases: Vec::new(),
+            stitching,
+            deadlines: None,
             invoke_by: None,
             backend_free_at: None,
         }
@@ -120,7 +131,14 @@ impl TangramScheduler {
     /// Current number of open canvases.
     #[must_use]
     pub fn open_canvases(&self) -> usize {
-        self.canvases.len()
+        self.stitching.canvases().len()
+    }
+
+    /// Packer probes and inserts made so far: a deterministic count of
+    /// the stitching work, at most `max_canvases + 1` per tile.
+    #[must_use]
+    pub fn packer_calls(&self) -> u64 {
+        self.stitching.packer_calls()
     }
 
     /// The armed invoke-by instant, if a batch is pending.
@@ -179,106 +197,76 @@ impl TangramScheduler {
             .collect()
     }
 
+    /// Earliest and latest deadline of the queue plus `tile`.
+    fn deadlines_with(&self, tile: &PatchInfo) -> (SimTime, SimTime) {
+        let deadline = tile.deadline();
+        self.deadlines
+            .map_or((deadline, deadline), |(earliest, latest)| {
+                (earliest.min(deadline), latest.max(deadline))
+            })
+    }
+
+    /// Lines 8–10 for the queue plus `tile` on `canvases` canvases: the
+    /// invoke-by instant `t_remain = t_DDL − T_slack`.
+    ///
     /// Admission-aware wait extension: while the backend cannot start a
     /// batch before `backend_free_at`, dispatching earlier buys nothing —
     /// execution begins at the same instant either way — so the invoke-by
     /// deadline is pushed out to that instant, letting more patches join
     /// the canvases for free. The extension applies only while *every*
-    /// queued patch is already doomed (its deadline unreachable even from
-    /// the backend-free instant): a feasible patch must never be dragged
-    /// past its own slack by doomed queue-mates, and for feasible work
-    /// the SLO-driven `t_remain` always governs. A no-op in the default
-    /// (admission-blind) configuration.
-    fn effective_invoke_by(&self, now: SimTime, invoke_by: SimTime, slack: SimDuration) -> SimTime {
-        if !self.config.admission_aware {
-            return invoke_by;
-        }
-        let Some(free) = self.backend_free_at.filter(|&free| free > now) else {
-            return invoke_by;
-        };
-        let all_doomed = self
-            .queue
-            .iter()
-            .map(PatchInfo::deadline)
-            .max()
-            .is_some_and(|latest| free + slack >= latest);
-        if all_doomed {
-            invoke_by.max(free)
-        } else {
-            invoke_by
-        }
-    }
-
-    fn admit(&mut self, now: SimTime, patch: PatchInfo, out: &mut PolicyOutput) {
-        // Lines 5–10: append, re-stitch, re-estimate.
-        self.queue.push(patch);
-        let canvases = self
-            .solver
-            .stitch(&self.queue)
-            .expect("patches were normalised to fit the canvas");
-        let t_ddl = canvases
-            .iter()
-            .filter_map(Canvas::earliest_deadline)
-            .min()
-            .expect("queue is non-empty");
-        let slack = self.estimator.slack_for(canvases.len());
-        let invoke_by = if t_ddl.since(SimTime::ZERO) > slack {
-            t_ddl - slack
+    /// queued patch is already doomed (even the latest deadline is
+    /// unreachable from the backend-free instant): a feasible patch must
+    /// never be dragged past its own slack by doomed queue-mates, and for
+    /// feasible work the SLO-driven `t_remain` always governs. A no-op in
+    /// the default (admission-blind) configuration.
+    fn invoke_by_with(&self, now: SimTime, tile: &PatchInfo, canvases: usize) -> SimTime {
+        let (earliest, latest) = self.deadlines_with(tile);
+        let slack = self.estimator.slack_for(canvases);
+        let invoke_by = if earliest.since(SimTime::ZERO) > slack {
+            earliest - slack
         } else {
             SimTime::ZERO
         };
-        let invoke_by = self.effective_invoke_by(now, invoke_by, slack);
-
-        let over_memory = canvases.len() > self.config.max_canvases;
-        let too_late = invoke_by <= now;
-
-        if (over_memory || too_late) && self.queue.len() > 1 {
-            // Lines 11–17: dispatch C_old and restart with this patch.
-            let new_patch = self.queue.pop().expect("just pushed");
-            let batch = self.take_batch();
-            out.dispatches.push(batch);
-            self.queue.push(new_patch);
-            let canvases = self
-                .solver
-                .stitch(&self.queue)
-                .expect("single patch fits a canvas");
-            let t_ddl = canvases
-                .iter()
-                .filter_map(Canvas::earliest_deadline)
-                .min()
-                .expect("one patch queued");
-            let slack = self.estimator.slack_for(canvases.len());
-            let invoke_by = if t_ddl.since(SimTime::ZERO) > slack {
-                t_ddl - slack
-            } else {
-                SimTime::ZERO
-            };
-            let invoke_by = self.effective_invoke_by(now, invoke_by, slack);
-            self.canvases = canvases;
-            if invoke_by <= now {
-                // Even alone the patch cannot meet its SLO; sending it
-                // immediately minimises the overrun.
-                let batch = self.take_batch();
-                out.dispatches.push(batch);
-            } else {
-                self.invoke_by = Some(invoke_by);
+        match self.backend_free_at {
+            Some(free) if self.config.admission_aware && free > now && free + slack >= latest => {
+                invoke_by.max(free)
             }
+            _ => invoke_by,
+        }
+    }
+
+    fn admit(&mut self, now: SimTime, tile: PatchInfo, out: &mut PolicyOutput) {
+        // Lines 5–10: would the tile join an open canvas or open a new
+        // one, and when must the resulting canvas set be invoked?
+        let slot = self.stitching.first_fit(tile.rect.size());
+        let canvases = self.open_canvases() + usize::from(slot.is_none());
+        let invoke_by = self.invoke_by_with(now, &tile, canvases);
+        let over_memory = canvases > self.config.max_canvases;
+        let (slot, invoke_by) = if (over_memory || invoke_by <= now) && !self.queue.is_empty() {
+            // Lines 11–17: dispatch C_old (the open stitching, untouched
+            // by the probe) and restart the queue with this tile.
+            out.dispatches.push(self.take_batch());
+            (None, self.invoke_by_with(now, &tile, 1))
         } else {
-            self.canvases = canvases;
-            if too_late {
-                // Single queued patch that can no longer make it: ship now.
-                let batch = self.take_batch();
-                out.dispatches.push(batch);
-            } else {
-                self.invoke_by = Some(invoke_by);
-            }
+            (slot, invoke_by)
+        };
+        self.deadlines = Some(self.deadlines_with(&tile));
+        self.stitching.place(tile, slot);
+        self.queue.push(tile);
+        if invoke_by <= now {
+            // The tile cannot meet its SLO even alone: sending it
+            // immediately minimises the overrun.
+            out.dispatches.push(self.take_batch());
+        } else {
+            self.invoke_by = Some(invoke_by);
         }
     }
 
     /// Builds the dispatch for the current canvases and clears the state.
     fn take_batch(&mut self) -> BatchSpec {
         let patches = std::mem::take(&mut self.queue);
-        let canvases = std::mem::take(&mut self.canvases);
+        let canvases = self.stitching.take();
+        self.deadlines = None;
         self.invoke_by = None;
         let inputs = canvases.len();
         let megapixels = inputs as f64 * self.config.canvas_size.megapixels();
@@ -319,6 +307,163 @@ impl BatchingPolicy for TangramScheduler {
 
     fn flush(&mut self, _now: SimTime) -> PolicyOutput {
         self.drain()
+    }
+}
+
+/// The literal Algorithm 2 — re-stitch the whole queue on every arrival —
+/// kept as the oracle the incremental [`TangramScheduler`] is tested
+/// against.
+#[cfg(test)]
+mod oracle {
+    use super::{BatchSpec, PolicyOutput, SchedulerConfig};
+    use tangram_infer::estimator::LatencyEstimator;
+    use tangram_stitch::canvas::Canvas;
+    use tangram_stitch::solver::{split_to_fit, PatchStitchingSolver};
+    use tangram_types::patch::PatchInfo;
+    use tangram_types::time::{SimDuration, SimTime};
+
+    pub(super) struct RestitchScheduler {
+        config: SchedulerConfig,
+        solver: PatchStitchingSolver,
+        estimator: LatencyEstimator,
+        queue: Vec<PatchInfo>,
+        pub(super) canvases: Vec<Canvas>,
+        invoke_by: Option<SimTime>,
+        backend_free_at: Option<SimTime>,
+    }
+
+    impl RestitchScheduler {
+        pub(super) fn new(config: SchedulerConfig, estimator: LatencyEstimator) -> Self {
+            let solver = PatchStitchingSolver::new(config.canvas_size);
+            Self {
+                config,
+                solver,
+                estimator,
+                queue: Vec::new(),
+                canvases: Vec::new(),
+                invoke_by: None,
+                backend_free_at: None,
+            }
+        }
+
+        pub(super) fn on_signals(&mut self, now: SimTime, earliest_start: SimTime) {
+            if self.config.admission_aware {
+                self.backend_free_at = Some(earliest_start.max(now));
+            }
+        }
+
+        pub(super) fn on_patch(&mut self, now: SimTime, patch: PatchInfo) -> PolicyOutput {
+            let mut out = PolicyOutput::idle();
+            let tiles: Vec<PatchInfo> = split_to_fit(patch.rect, self.config.canvas_size)
+                .into_iter()
+                .map(|rect| PatchInfo { rect, ..patch })
+                .collect();
+            out.accepted = tiles.len();
+            for tile in tiles {
+                self.admit(now, tile, &mut out);
+            }
+            out.next_wake = self.invoke_by;
+            out
+        }
+
+        pub(super) fn on_timer(&mut self, now: SimTime) -> PolicyOutput {
+            match self.invoke_by {
+                Some(t) if now >= t => self.drain(),
+                _ => {
+                    let mut out = PolicyOutput::idle();
+                    out.next_wake = self.invoke_by;
+                    out
+                }
+            }
+        }
+
+        pub(super) fn drain(&mut self) -> PolicyOutput {
+            if self.queue.is_empty() {
+                return PolicyOutput::idle();
+            }
+            PolicyOutput::dispatch(self.take_batch())
+        }
+
+        /// `t_remain` of the current stitching `canvases` of the queue.
+        fn invoke_by_for(&self, now: SimTime, canvases: &[Canvas]) -> SimTime {
+            let t_ddl = canvases
+                .iter()
+                .filter_map(Canvas::earliest_deadline)
+                .min()
+                .expect("queue is non-empty");
+            let slack = self.estimator.slack_for(canvases.len());
+            let invoke_by = if t_ddl.since(SimTime::ZERO) > slack {
+                t_ddl - slack
+            } else {
+                SimTime::ZERO
+            };
+            self.effective_invoke_by(now, invoke_by, slack)
+        }
+
+        fn effective_invoke_by(
+            &self,
+            now: SimTime,
+            invoke_by: SimTime,
+            slack: SimDuration,
+        ) -> SimTime {
+            if !self.config.admission_aware {
+                return invoke_by;
+            }
+            let Some(free) = self.backend_free_at.filter(|&free| free > now) else {
+                return invoke_by;
+            };
+            let all_doomed = self
+                .queue
+                .iter()
+                .map(PatchInfo::deadline)
+                .max()
+                .is_some_and(|latest| free + slack >= latest);
+            if all_doomed {
+                invoke_by.max(free)
+            } else {
+                invoke_by
+            }
+        }
+
+        fn admit(&mut self, now: SimTime, patch: PatchInfo, out: &mut PolicyOutput) {
+            self.queue.push(patch);
+            let canvases = self.solver.stitch(&self.queue).expect("tiles fit");
+            let invoke_by = self.invoke_by_for(now, &canvases);
+            let over_memory = canvases.len() > self.config.max_canvases;
+            let too_late = invoke_by <= now;
+            if (over_memory || too_late) && self.queue.len() > 1 {
+                let new_patch = self.queue.pop().expect("just pushed");
+                out.dispatches.push(self.take_batch());
+                self.queue.push(new_patch);
+                let canvases = self.solver.stitch(&self.queue).expect("tile fits");
+                let invoke_by = self.invoke_by_for(now, &canvases);
+                self.canvases = canvases;
+                if invoke_by <= now {
+                    out.dispatches.push(self.take_batch());
+                } else {
+                    self.invoke_by = Some(invoke_by);
+                }
+            } else {
+                self.canvases = canvases;
+                if too_late {
+                    out.dispatches.push(self.take_batch());
+                } else {
+                    self.invoke_by = Some(invoke_by);
+                }
+            }
+        }
+
+        fn take_batch(&mut self) -> BatchSpec {
+            let patches = std::mem::take(&mut self.queue);
+            let canvases = std::mem::take(&mut self.canvases);
+            self.invoke_by = None;
+            BatchSpec {
+                patches,
+                inputs: canvases.len(),
+                megapixels: canvases.len() as f64 * self.config.canvas_size.megapixels(),
+                canvas_efficiencies: canvases.iter().map(Canvas::efficiency).collect(),
+            }
+        }
     }
 }
 
@@ -588,5 +733,146 @@ mod tests {
         assert_eq!(batch.canvas_efficiencies.len(), batch.inputs);
         let eff = batch.canvas_efficiencies[0];
         assert!((eff - 0.5).abs() < 1e-9, "two 512² patches on 1024²: {eff}");
+    }
+
+    /// A comparable rendering of one policy output (floats by bits).
+    type OutputKey = (
+        usize,
+        Option<SimTime>,
+        Vec<(Vec<PatchInfo>, usize, u64, Vec<u64>)>,
+    );
+
+    fn key(out: &PolicyOutput) -> OutputKey {
+        let batches = out
+            .dispatches
+            .iter()
+            .map(|b| {
+                let eff = b.canvas_efficiencies.iter().map(|e| e.to_bits()).collect();
+                (b.patches.clone(), b.inputs, b.megapixels.to_bits(), eff)
+            })
+            .collect();
+        (out.accepted, out.next_wake, batches)
+    }
+
+    /// A DetRng arrival whose tile sizes include oversized zone patches
+    /// and whose SLOs range from already blown to lax.
+    fn random_patch(rng: &mut tangram_sim::rng::DetRng, id: u64, now: SimTime) -> PatchInfo {
+        let dim = |rng: &mut tangram_sim::rng::DetRng| {
+            if rng.chance(0.05) {
+                1025 + rng.index(1500) as u32
+            } else {
+                40 + rng.index(700) as u32
+            }
+        };
+        let (w, h) = (dim(rng), dim(rng));
+        let age = SimDuration::from_micros(rng.index(400_000) as u64);
+        let slo_ms = if rng.chance(0.3) {
+            50 + rng.index(250) as u64
+        } else {
+            500 + rng.index(3000) as u64
+        };
+        PatchInfo::new(
+            PatchId::new(id),
+            CameraId::new(rng.index(4) as u32),
+            FrameId::new(id),
+            Rect::new(0, 0, w, h),
+            SimTime::ZERO + now.since(SimTime::ZERO).saturating_sub(age),
+            SimDuration::from_millis(slo_ms),
+        )
+    }
+
+    #[test]
+    fn incremental_scheduler_matches_the_restitch_oracle() {
+        let root = tangram_sim::rng::DetRng::new(0x7a9_6ea);
+        let mut batches = [0usize; 3];
+        for (m, max_canvases) in [1usize, 2, 9].into_iter().enumerate() {
+            for admission_aware in [false, true] {
+                for run in 0..6u64 {
+                    let mut rng = root.fork_indexed(
+                        "scheduler-diff",
+                        run + 16 * max_canvases as u64 + 1000 * u64::from(admission_aware),
+                    );
+                    let config = SchedulerConfig {
+                        max_canvases,
+                        admission_aware,
+                        ..SchedulerConfig::paper_default()
+                    };
+                    let estimator = LatencyEstimator::paper_default(
+                        &InferenceLatencyModel::rtx4090_yolov8x(),
+                        Size::CANVAS_1024,
+                        9,
+                    );
+                    let mut fast = TangramScheduler::new(config.clone(), estimator.clone());
+                    let mut slow = oracle::RestitchScheduler::new(config, estimator);
+                    let mut now = SimTime::ZERO;
+                    for id in 0..400u64 {
+                        now += SimDuration::from_micros(rng.index(30_000) as u64);
+                        let (a, b) = match rng.index(10) {
+                            0 => {
+                                let free =
+                                    now + SimDuration::from_micros(rng.index(800_000) as u64);
+                                let mut sig = signals(0);
+                                sig.backend.earliest_start = free;
+                                fast.on_signals(now, &sig);
+                                slow.on_signals(now, free);
+                                continue;
+                            }
+                            1 => {
+                                // Timer: sometimes exactly at the armed instant.
+                                if let Some(t) = fast.invoke_by().filter(|&t| t > now) {
+                                    if rng.chance(0.5) {
+                                        now = t;
+                                    }
+                                }
+                                (fast.on_timer(now), slow.on_timer(now))
+                            }
+                            _ => {
+                                let p = random_patch(&mut rng, id, now);
+                                (fast.on_patch(now, p), slow.on_patch(now, p))
+                            }
+                        };
+                        assert_eq!(key(&a), key(&b), "call {id} (max {max_canvases})");
+                        assert_eq!(fast.stitching.canvases(), slow.canvases.as_slice());
+                        batches[m] += a.dispatches.len();
+                    }
+                    assert_eq!(key(&fast.drain()), key(&slow.drain()));
+                }
+            }
+        }
+        assert!(
+            batches.iter().all(|&n| n > 50),
+            "every bound dispatches: {batches:?}"
+        );
+    }
+
+    #[test]
+    fn arrival_work_is_linear_in_tiles() {
+        let mut rng = tangram_sim::rng::DetRng::new(5000);
+        let mut s = scheduler();
+        let mut tiles = 0usize;
+        let mut now = SimTime::ZERO;
+        for id in 0..5000u64 {
+            // Lax SLOs: queues run deep, where re-stitching was quadratic.
+            let w = 40 + rng.index(400) as u32;
+            let h = 40 + rng.index(400) as u32;
+            now += SimDuration::from_micros(rng.index(2_000) as u64);
+            let p = PatchInfo::new(
+                PatchId::new(id),
+                CameraId::new(0),
+                FrameId::new(id),
+                Rect::new(0, 0, w, h),
+                now,
+                SimDuration::from_secs(30),
+            );
+            tiles += s.on_patch(now, p).accepted;
+        }
+        let bound = (tiles * (s.config().max_canvases + 1)) as u64;
+        assert_eq!(tiles, 5000);
+        assert!(s.packer_calls() >= tiles as u64, "every tile is inserted");
+        assert!(
+            s.packer_calls() <= bound,
+            "{} packer calls for {tiles} tiles (bound {bound})",
+            s.packer_calls()
+        );
     }
 }

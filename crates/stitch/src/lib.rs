@@ -10,8 +10,9 @@
 //!   ablation baselines;
 //! * [`canvas`] — the canvas data model and efficiency accounting
 //!   (Fig. 10b / Fig. 13 plot the efficiency CDFs);
-//! * [`solver`] — the multi-canvas [`solver::PatchStitchingSolver`] that
-//!   Algorithm 2 invokes on every patch arrival;
+//! * [`solver`] — the multi-canvas [`solver::OpenStitching`] that the
+//!   scheduler extends by one patch per arrival, and the
+//!   [`solver::PatchStitchingSolver`] that stitches a whole queue;
 //! * [`compose`] — coordinate mapping between canvas space and source
 //!   frames, used when detections are projected back to cameras.
 //!
@@ -35,4 +36,4 @@ pub mod solver;
 pub use canvas::{Canvas, PlacedPatch};
 pub use compose::CanvasMapping;
 pub use packer::{GuillotinePacker, Packer, ShelfPacker, SkylinePacker};
-pub use solver::{PatchStitchingSolver, StitchError};
+pub use solver::{OpenStitching, PatchStitchingSolver, StitchError};

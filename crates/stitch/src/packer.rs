@@ -61,6 +61,13 @@ impl GuillotinePacker {
     pub fn free_rects(&self) -> &[Rect] {
         &self.free
     }
+
+    /// Whether [`Packer::insert`] would place a `size`-shaped patch,
+    /// without placing it.
+    #[must_use]
+    pub fn fits(&self, size: Size) -> bool {
+        !size.is_empty() && self.free.iter().any(|c| c.size().fits(size))
+    }
 }
 
 impl Packer for GuillotinePacker {
@@ -443,6 +450,24 @@ mod tests {
         assert_eq!(p.insert(Size::new(40, 20)), Some(Point::new(40, 0)));
         // Next patch of width 60 fits at (40, 20) — the lowest position.
         assert_eq!(p.insert(Size::new(60, 20)), Some(Point::new(40, 20)));
+    }
+
+    #[test]
+    fn fits_agrees_with_insert() {
+        // Random free-rect states: a random prefix of a random workload
+        // packed, then probed with fresh random sizes (some oversized,
+        // some empty).
+        for seed in 0..40u64 {
+            let sizes = workload(seed, 3 + (seed as usize * 7) % 40);
+            let mut p = GuillotinePacker::new(CANVAS);
+            exercise(&mut p, &sizes);
+            let probes = workload(seed + 1000, 60)
+                .into_iter()
+                .map(|s| Size::new(s.width * (1 + s.height % 3), s.height * (s.width % 2)));
+            for s in probes {
+                assert_eq!(p.fits(s), p.clone().insert(s).is_some(), "{s}");
+            }
+        }
     }
 
     #[test]

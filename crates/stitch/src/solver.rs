@@ -1,10 +1,17 @@
 //! The multi-canvas Patch-stitching Solver.
 //!
-//! Algorithm 2 re-runs the solver over the whole queue on every patch
-//! arrival: patches are stitched onto a growing sequence of canvases;
-//! when no free space fits a patch, a fresh canvas is opened (line 36).
-//! Free space is pooled across all open canvases so a later small patch
-//! can still fill an earlier canvas's gap.
+//! Patches are stitched onto a growing sequence of canvases in queue
+//! order; when no free space fits a patch, a fresh canvas is opened
+//! (Algorithm 2, line 36). Free space is pooled across all open canvases
+//! so a later small patch can still fill an earlier canvas's gap.
+//!
+//! Algorithm 2 re-stitches the whole queue on every arrival. Because the
+//! packing is online first-fit in queue order and the queue only grows
+//! between dispatches, stitching `queue + p` from scratch yields exactly
+//! the canvases of inserting `p` into the already-open stitching. The
+//! scheduler therefore keeps one [`OpenStitching`] and extends it by one
+//! patch per arrival; [`PatchStitchingSolver::stitch`] is the same fold
+//! over a whole queue.
 
 use crate::canvas::Canvas;
 use crate::packer::{GuillotinePacker, Packer};
@@ -62,8 +69,86 @@ pub fn split_to_fit(rect: Rect, canvas: Size) -> Vec<Rect> {
     tiles
 }
 
-/// Stateless multi-canvas stitching: every call packs a queue of patches
-/// from scratch, exactly as Algorithm 2 does on each arrival.
+/// A multi-canvas stitching that grows one patch at a time: the open
+/// canvases and the packers that track their free space.
+#[derive(Debug, Clone)]
+pub struct OpenStitching {
+    canvas_size: Size,
+    packers: Vec<GuillotinePacker>,
+    canvases: Vec<Canvas>,
+    packer_calls: u64,
+}
+
+impl OpenStitching {
+    /// An empty stitching onto canvases of `canvas_size`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `canvas_size` is empty.
+    #[must_use]
+    pub fn new(canvas_size: Size) -> Self {
+        assert!(!canvas_size.is_empty(), "canvas must be non-empty");
+        Self {
+            canvas_size,
+            packers: Vec::new(),
+            canvases: Vec::new(),
+            packer_calls: 0,
+        }
+    }
+
+    /// The open canvases, oldest first.
+    #[must_use]
+    pub fn canvases(&self) -> &[Canvas] {
+        &self.canvases
+    }
+
+    /// Packer probes and inserts made so far (a deterministic work
+    /// count: one probe per open canvas tried, one insert per patch).
+    #[must_use]
+    pub fn packer_calls(&self) -> u64 {
+        self.packer_calls
+    }
+
+    /// The first open canvas with room for a `size`-shaped patch, oldest
+    /// first; `None` when the patch would need a new canvas. Places
+    /// nothing.
+    pub fn first_fit(&mut self, size: Size) -> Option<usize> {
+        let slot = self.packers.iter().position(|packer| packer.fits(size));
+        self.packer_calls += slot.map_or(self.packers.len(), |i| i + 1) as u64;
+        slot
+    }
+
+    /// Places `patch` on open canvas `slot`, or on a fresh canvas when
+    /// `slot` is `None`; `slot` must be what [`Self::first_fit`] returned
+    /// for this patch on the current stitching.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chosen canvas has no room for the patch.
+    pub fn place(&mut self, patch: PatchInfo, slot: Option<usize>) {
+        let idx = slot.unwrap_or_else(|| {
+            // No space anywhere: open a new canvas (Algorithm 2, line 36).
+            let id = CanvasId::new(self.canvases.len() as u64);
+            self.packers.push(GuillotinePacker::new(self.canvas_size));
+            self.canvases.push(Canvas::new(id, self.canvas_size));
+            self.canvases.len() - 1
+        });
+        self.packer_calls += 1;
+        let pos = self.packers[idx]
+            .insert(patch.rect.size())
+            .expect("the chosen canvas has room for the patch");
+        self.canvases[idx].place(patch, pos);
+    }
+
+    /// Closes the stitching: returns its canvases and starts empty again.
+    pub fn take(&mut self) -> Vec<Canvas> {
+        self.packers.clear();
+        std::mem::take(&mut self.canvases)
+    }
+}
+
+/// Stateless multi-canvas stitching of a whole queue: folds the queue,
+/// in order, into a fresh [`OpenStitching`].
 #[derive(Debug, Clone)]
 pub struct PatchStitchingSolver {
     canvas_size: Size,
@@ -87,7 +172,8 @@ impl PatchStitchingSolver {
         self.canvas_size
     }
 
-    /// Stitches the queue of patches onto canvases, in queue order.
+    /// Stitches the queue of patches onto canvases, in queue order: each
+    /// patch goes to the first open canvas with room, else a new one.
     ///
     /// # Errors
     ///
@@ -102,28 +188,12 @@ impl PatchStitchingSolver {
                 });
             }
         }
-        let mut packers: Vec<GuillotinePacker> = Vec::new();
-        let mut canvases: Vec<Canvas> = Vec::new();
-        'patches: for p in patches {
-            // Try the pooled free space of every open canvas, oldest first,
-            // choosing the first canvas whose packer accepts the patch.
-            for (packer, canvas) in packers.iter_mut().zip(canvases.iter_mut()) {
-                if let Some(pos) = packer.insert(p.rect.size()) {
-                    canvas.place(*p, pos);
-                    continue 'patches;
-                }
-            }
-            // No space anywhere: open a new canvas (Algorithm 2, line 36).
-            let mut packer = GuillotinePacker::new(self.canvas_size);
-            let pos = packer
-                .insert(p.rect.size())
-                .expect("patch fits an empty canvas (checked above)");
-            let mut canvas = Canvas::new(CanvasId::new(canvases.len() as u64), self.canvas_size);
-            canvas.place(*p, pos);
-            packers.push(packer);
-            canvases.push(canvas);
+        let mut open = OpenStitching::new(self.canvas_size);
+        for p in patches {
+            let slot = open.first_fit(p.rect.size());
+            open.place(*p, slot);
         }
-        Ok(canvases)
+        Ok(open.take())
     }
 
     /// Convenience for tests and benches: stitch bare sizes (metadata is
@@ -150,20 +220,6 @@ impl PatchStitchingSolver {
             })
             .collect();
         self.stitch(&patches)
-    }
-
-    /// Would the queue still fit on at most `max_canvases` canvases?
-    /// (Constraint (5): the batch must fit the function's GPU memory.)
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::stitch`].
-    pub fn fits_within(
-        &self,
-        patches: &[PatchInfo],
-        max_canvases: usize,
-    ) -> Result<bool, StitchError> {
-        Ok(self.stitch(patches)?.len() <= max_canvases)
     }
 }
 
@@ -283,29 +339,46 @@ mod tests {
     }
 
     #[test]
-    fn fits_within_reflects_canvas_count() {
-        let sizes = [Size::new(700, 700); 3];
-        let s = solver();
-        let patches: Vec<PatchInfo> = {
+    fn extending_the_open_stitching_equals_restitching_the_queue() {
+        let sizes: Vec<Size> = (0..60)
+            .map(|i| Size::new(100 + (i * 97) % 700, 100 + (i * 61) % 600))
+            .collect();
+        let queue: Vec<PatchInfo> = {
             use tangram_types::ids::{CameraId, FrameId, PatchId};
             use tangram_types::time::{SimDuration, SimTime};
             sizes
                 .iter()
                 .enumerate()
-                .map(|(i, sz)| {
+                .map(|(i, s)| {
                     PatchInfo::new(
                         PatchId::new(i as u64),
                         CameraId::new(0),
                         FrameId::new(0),
-                        Rect::new(0, 0, sz.width, sz.height),
+                        Rect::new(0, 0, s.width, s.height),
                         SimTime::ZERO,
                         SimDuration::from_secs(1),
                     )
                 })
                 .collect()
         };
-        assert!(s.fits_within(&patches, 3).unwrap());
-        assert!(!s.fits_within(&patches, 2).unwrap());
+        let mut open = OpenStitching::new(CANVAS);
+        for (i, p) in queue.iter().enumerate() {
+            let before = open.packer_calls();
+            let slot = open.first_fit(p.rect.size());
+            open.place(*p, slot);
+            let restitched = solver().stitch(&queue[..=i]).unwrap();
+            assert_eq!(open.canvases(), restitched.as_slice(), "after patch {i}");
+            // One probe per open canvas at most, plus one insert.
+            assert!(open.packer_calls() - before <= open.canvases().len() as u64 + 1);
+        }
+        assert!(
+            open.canvases().len() > 3,
+            "the queue spans several canvases"
+        );
+        let taken = open.take();
+        assert_eq!(taken, solver().stitch(&queue).unwrap());
+        assert!(open.canvases().is_empty());
+        assert_eq!(open.first_fit(Size::new(1, 1)), None, "nothing open");
     }
 
     #[test]
