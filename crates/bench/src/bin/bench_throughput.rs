@@ -3,9 +3,11 @@
 //!
 //! Every other bench in this crate reports *simulated* time; this one is
 //! the repo's only wall-clock benchmark. It runs the city-scale preset
-//! (open-loop Poisson cameras, Tangram policy, a wide uplink so the
-//! runtime — not a saturated link — is the bottleneck) once per shard
-//! count and reports events/sec and patches/sec of real elapsed time.
+//! (open-loop Poisson cameras, Tangram policy, unlimited scale-out) once
+//! per shard count and reports events/sec and patches/sec of real elapsed
+//! time. The preset saturates its uplink, so a batch holds about one
+//! patch: there is one invocation per patch, and the per-invocation
+//! runtime cost, mainly platform submit, sets the pace.
 //!
 //! Determinism is asserted, not assumed: every shard count must produce
 //! the same [`tangram_core::report::RunSummary`] and the same

@@ -3,14 +3,14 @@
 //! Models an Alibaba Function Compute-style GPU serverless backend: warm
 //! function instances with per-instance concurrency 1, cold starts in the
 //! tens-of-milliseconds range (§I of the paper), keep-alive expiry,
-//! scale-from-zero autoscaling, NGINX-style load balancing, and the exact
-//! Eqn. (1) billing model with the paper's unit prices.
+//! scale-from-zero autoscaling, NGINX-style round-robin placement, and the
+//! exact Eqn. (1) billing model with the paper's unit prices.
 //!
 //! * [`pricing`] — `C = T_f·(n_C·P_C + m_M·P_M + m_G·P_G) + P_req`;
 //! * [`function`] — function specs (2 vCPU / 4 GB / 6 GB GPU in the
 //!   paper's evaluation) and the GPU-memory batch bound of constraint (5);
-//! * [`lb`] — round-robin (NGINX default) and least-used balancers;
-//! * [`platform`] — the event-driven instance pool.
+//! * [`platform`] — the event-driven instance pool, round-robin over idle
+//!   warm instances by id (NGINX's default).
 //!
 //! # Example
 //!
@@ -33,12 +33,10 @@
 //! ```
 
 pub mod function;
-pub mod lb;
 pub mod platform;
 pub mod pricing;
 
 pub use function::FunctionSpec;
-pub use lb::{LeastUsed, LoadBalancer, RoundRobin};
 pub use platform::{
     BackendSnapshot, InvocationOutcome, InvocationRequest, PlatformError, ServerlessPlatform,
 };

@@ -1,14 +1,19 @@
 //! The event-driven instance pool.
 //!
 //! Invocations arrive with a submission time; the platform routes each to
-//! an idle warm instance (load-balanced), or cold-starts a new instance
-//! when none is free — serverless scale-out on demand. Instances expire
-//! after a keep-alive window of idleness. Execution time is sampled from
-//! the inference latency model, and every invocation is billed with
-//! Eqn. (1).
+//! an idle warm instance, round-robin over idle warm instances by id
+//! (NGINX's default), or cold-starts a new instance when none is free —
+//! serverless scale-out on demand. At the instance cap a request queues
+//! on the earliest-free instance. Instances expire after a keep-alive
+//! window of idleness. Execution time is sampled from the inference
+//! latency model, and every invocation is billed with Eqn. (1).
+//!
+//! Placement is one allocation-free pass over the instance pool, which is
+//! kept in id order: reaping expired instances also counts the idle ones,
+//! and the round-robin pick walks to the `(cursor % idle)`-th of them.
+//! [`ServerlessPlatform::instance_scans`] counts the instances visited.
 
 use crate::function::FunctionSpec;
-use crate::lb::{LoadBalancer, RoundRobin};
 use crate::pricing::ResourcePrices;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -83,7 +88,6 @@ struct Instance {
     id: InstanceId,
     busy_until: SimTime,
     expires_at: SimTime,
-    invocations: u64,
 }
 
 /// A point-in-time reading of backend pressure — the signals an
@@ -130,7 +134,11 @@ pub struct ServerlessPlatform {
     spec: FunctionSpec,
     prices: ResourcePrices,
     model: InferenceLatencyModel,
-    balancer: Box<dyn LoadBalancer>,
+    /// Round-robin position: advanced once per submit that finds an idle
+    /// warm instance.
+    cursor: usize,
+    /// Instances visited by [`Self::submit`] (see [`Self::instance_scans`]).
+    instance_scans: u64,
     /// Keep-alive window before an idle instance is reclaimed.
     pub keep_alive: SimDuration,
     /// Mean cold-start delay (lognormal-sampled; §I: "tens of
@@ -165,7 +173,8 @@ impl ServerlessPlatform {
             spec,
             prices: ResourcePrices::alibaba_fc(),
             model,
-            balancer: Box::new(RoundRobin::default()),
+            cursor: 0,
+            instance_scans: 0,
             keep_alive: SimDuration::from_secs(60),
             cold_start_mean: SimDuration::from_millis(60),
             max_instances: Some(8),
@@ -177,13 +186,6 @@ impl ServerlessPlatform {
             rng: DetRng::new(seed).fork("serverless"),
             in_flight: Vec::new(),
         }
-    }
-
-    /// Replaces the load balancer.
-    #[must_use]
-    pub fn with_balancer(mut self, balancer: Box<dyn LoadBalancer>) -> Self {
-        self.balancer = balancer;
-        self
     }
 
     /// Replaces the price table.
@@ -203,6 +205,14 @@ impl ServerlessPlatform {
     #[must_use]
     pub fn stats(&self) -> PlatformStats {
         self.stats
+    }
+
+    /// Instances visited by [`Self::submit`] so far: a deterministic work
+    /// counter. Placement is linear in the pool, so this stays within a
+    /// small multiple of `submits × live instances`.
+    #[must_use]
+    pub fn instance_scans(&self) -> u64 {
+        self.instance_scans
     }
 
     /// Sets the brownout execution-time multiplier (see the
@@ -271,6 +281,16 @@ impl ServerlessPlatform {
         &mut self,
         request: InvocationRequest,
     ) -> Result<InvocationOutcome, PlatformError> {
+        self.check_fits(&request)?;
+        let now = request.submitted;
+        let (instance_idx, cold, started) = match self.pick_idle(now) {
+            Some(idx) => (idx, false, now),
+            None => self.place_without_idle(now),
+        };
+        Ok(self.execute(instance_idx, cold, started, request))
+    }
+
+    fn check_fits(&self, request: &InvocationRequest) -> Result<(), PlatformError> {
         let capacity = self.spec.max_canvases();
         if request.canvases > capacity {
             return Err(PlatformError::BatchTooLarge {
@@ -278,66 +298,78 @@ impl ServerlessPlatform {
                 capacity,
             });
         }
-        let now = request.submitted;
-        // Reap expired idle instances.
-        self.instances
-            .retain(|i| i.busy_until > now || i.expires_at > now);
+        Ok(())
+    }
 
-        // Idle warm instances, balanced.
-        let idle: Vec<InstanceId> = self
+    /// Reaps expired instances and picks the next idle warm instance
+    /// round-robin by id, returning its index. The cursor advances only
+    /// when an idle instance exists.
+    fn pick_idle(&mut self, now: SimTime) -> Option<usize> {
+        self.instance_scans += self.instances.len() as u64;
+        let mut idle = 0usize;
+        self.instances.retain(|i| {
+            let live = i.busy_until > now || i.expires_at > now;
+            // A live instance that is not busy is warm by definition.
+            idle += usize::from(live && i.busy_until <= now);
+            live
+        });
+        if idle == 0 {
+            return None;
+        }
+        let nth = self.cursor % idle;
+        self.cursor = self.cursor.wrapping_add(1);
+        let idx = self
             .instances
             .iter()
-            .filter(|i| i.busy_until <= now && i.expires_at > now)
-            .map(|i| i.id)
-            .collect();
-        let loads: Vec<u64> = idle
-            .iter()
-            .map(|id| {
-                self.instances
-                    .iter()
-                    .find(|i| i.id == *id)
-                    .map_or(0, |i| i.invocations)
-            })
-            .collect();
+            .enumerate()
+            .filter(|(_, i)| i.busy_until <= now)
+            .nth(nth)
+            .map(|(idx, _)| idx)
+            .expect("nth < idle count");
+        self.instance_scans += idx as u64 + 1;
+        Some(idx)
+    }
 
-        let (instance_idx, cold, started) = match self.balancer.pick(&idle, &loads) {
-            Some(chosen) => {
-                let idx = self
-                    .instances
-                    .iter()
-                    .position(|i| i.id == chosen)
-                    .expect("balancer picked a live instance");
-                (idx, false, now)
-            }
-            None if self
-                .max_instances
-                .is_none_or(|cap| self.instances.len() < cap) =>
-            {
-                // Scale out: cold-start a fresh instance.
-                let delay = self.sample_cold_start();
-                let id = self.next_instance.bump();
-                self.instances.push(Instance {
-                    id,
-                    busy_until: now,
-                    expires_at: now + self.keep_alive,
-                    invocations: 0,
-                });
-                (self.instances.len() - 1, true, now + delay)
-            }
-            None => {
-                // Capacity cap: queue on the earliest-free instance.
-                let idx = self
-                    .instances
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, i)| i.busy_until)
-                    .map(|(i, _)| i)
-                    .expect("cap > 0 implies at least one instance");
-                let start = self.instances[idx].busy_until.max(now);
-                (idx, false, start)
-            }
-        };
+    /// Places a request when no instance is idle: scale out below the cap,
+    /// else queue on the earliest-free instance. Returns
+    /// `(instance index, cold, started)`.
+    fn place_without_idle(&mut self, now: SimTime) -> (usize, bool, SimTime) {
+        if self
+            .max_instances
+            .is_none_or(|cap| self.instances.len() < cap)
+        {
+            // Scale out: cold-start a fresh instance.
+            let delay = self.sample_cold_start();
+            let id = self.next_instance.bump();
+            self.instances.push(Instance {
+                id,
+                busy_until: now,
+                expires_at: now + self.keep_alive,
+            });
+            (self.instances.len() - 1, true, now + delay)
+        } else {
+            // Capacity cap: queue on the earliest-free instance.
+            self.instance_scans += self.instances.len() as u64;
+            let idx = self
+                .instances
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, i)| i.busy_until)
+                .map(|(i, _)| i)
+                .expect("cap > 0 implies at least one instance");
+            let start = self.instances[idx].busy_until.max(now);
+            (idx, false, start)
+        }
+    }
 
+    /// Samples, bills and records the invocation on the chosen instance.
+    fn execute(
+        &mut self,
+        instance_idx: usize,
+        cold: bool,
+        started: SimTime,
+        request: InvocationRequest,
+    ) -> InvocationOutcome {
         let execution = self.model.sample(request.megapixels, &mut self.rng);
         // Brownout injection: scale the sampled duration without
         // touching the draw sequence. The exact-1.0 guard keeps
@@ -353,7 +385,6 @@ impl ServerlessPlatform {
         let inst = &mut self.instances[instance_idx];
         inst.busy_until = finished;
         inst.expires_at = finished + self.keep_alive;
-        inst.invocations += 1;
 
         self.stats.invocations += 1;
         if cold {
@@ -373,7 +404,7 @@ impl ServerlessPlatform {
             cost,
         };
         self.in_flight.push((outcome.id, outcome.finished));
-        Ok(outcome)
+        outcome
     }
 
     /// Acknowledges the completion event of a previously [`Self::submit`]ted
@@ -464,6 +495,63 @@ impl fmt::Debug for ServerlessPlatform {
             .field("instances", &self.instances.len())
             .field("stats", &self.stats)
             .finish()
+    }
+}
+
+/// Placement as it was before the single-pass rewrite — reap, collect
+/// the idle warm ids, pick one round-robin, map the id back to an index —
+/// kept as the oracle [`ServerlessPlatform::submit`] is tested against.
+/// Only the idle pick differs; scale-out, the capped queue and execution
+/// are the platform's own.
+#[cfg(test)]
+mod oracle {
+    use super::{InvocationOutcome, InvocationRequest, PlatformError, ServerlessPlatform};
+    use tangram_types::ids::InstanceId;
+
+    pub(super) struct LinearPlatform {
+        pub(super) inner: ServerlessPlatform,
+        /// The round-robin balancer's cursor.
+        cursor: usize,
+    }
+
+    impl LinearPlatform {
+        pub(super) fn new(inner: ServerlessPlatform) -> Self {
+            Self { inner, cursor: 0 }
+        }
+
+        pub(super) fn submit(
+            &mut self,
+            request: InvocationRequest,
+        ) -> Result<InvocationOutcome, PlatformError> {
+            let p = &mut self.inner;
+            p.check_fits(&request)?;
+            let now = request.submitted;
+            p.instances
+                .retain(|i| i.busy_until > now || i.expires_at > now);
+            let idle: Vec<InstanceId> = p
+                .instances
+                .iter()
+                .filter(|i| i.busy_until <= now && i.expires_at > now)
+                .map(|i| i.id)
+                .collect();
+            let pick = (!idle.is_empty()).then(|| {
+                let choice = idle[self.cursor % idle.len()];
+                self.cursor = self.cursor.wrapping_add(1);
+                choice
+            });
+            let (idx, cold, started) = match pick {
+                Some(chosen) => {
+                    let idx = p
+                        .instances
+                        .iter()
+                        .position(|i| i.id == chosen)
+                        .expect("balancer picked a live instance");
+                    (idx, false, now)
+                }
+                None => p.place_without_idle(now),
+            };
+            Ok(p.execute(idx, cold, started, request))
+        }
     }
 }
 
@@ -709,5 +797,151 @@ mod tests {
         assert_eq!(p.live_instances(o.finished), 1);
         let far = o.finished + p.keep_alive + SimDuration::from_secs(5);
         assert_eq!(p.live_instances(far), 0);
+    }
+
+    #[test]
+    fn round_robin_rotates_over_idle_instances_by_id() {
+        let mut p = platform();
+        p.max_instances = None;
+        let at = |s: u64| s * 1_000_000;
+        // Three instances, cold-started together; no idle instance yet,
+        // so the cursor stays at 0.
+        for _ in 0..3 {
+            assert!(p.invoke(req(1, 0)).unwrap().cold);
+        }
+        // Each submit finds all three idle: 0 → 1 → 2 → 0 by id.
+        let picks: Vec<u32> = (1..=4)
+            .map(|s| p.invoke(req(1, at(s))).unwrap().instance.raw())
+            .collect();
+        assert_eq!(picks, [0, 1, 2, 0]);
+        // Same instant, shrinking idle set: cursor 4 % 3, 5 % 2, 6 % 1.
+        let burst: Vec<u32> = (0..3)
+            .map(|_| p.invoke(req(1, at(10))).unwrap().instance.raw())
+            .collect();
+        assert_eq!(burst, [1, 2, 0]);
+        // No idle instance: scale out without advancing the cursor.
+        let scaled = p.invoke(req(1, at(10))).unwrap();
+        assert!(scaled.cold);
+        assert_eq!(scaled.instance.raw(), 3);
+        // Four idle: cursor 7 % 4 picks instance 3 (an advanced cursor
+        // would pick instance 0).
+        assert_eq!(p.invoke(req(1, at(20))).unwrap().instance.raw(), 3);
+    }
+
+    #[test]
+    fn submit_matches_the_linear_oracle() {
+        let mut rng = DetRng::new(1313);
+        let mut picks = [0u64; 3]; // [warm with ≥ 2 idle, cold, capped]
+        for cap in [None, Some(1), Some(2), Some(8)] {
+            for case in 0..12u64 {
+                let mut fast = ServerlessPlatform::new(
+                    FunctionSpec::paper_default(),
+                    InferenceLatencyModel::rtx4090_yolov8x(),
+                    case,
+                );
+                fast.max_instances = cap;
+                if case % 2 == 1 {
+                    fast.keep_alive = SimDuration::from_millis(400);
+                }
+                let mut slow = oracle::LinearPlatform::new(ServerlessPlatform::new(
+                    FunctionSpec::paper_default(),
+                    InferenceLatencyModel::rtx4090_yolov8x(),
+                    case,
+                ));
+                slow.inner.max_instances = cap;
+                slow.inner.keep_alive = fast.keep_alive;
+                let capacity = fast.spec().max_canvases();
+                let mut now = SimTime::ZERO;
+                let mut issued: Vec<(InvocationId, SimTime)> = Vec::new();
+                for op in 0..400 {
+                    let what = rng.uniform();
+                    if what < 0.55 {
+                        let idle_before = fast
+                            .instances
+                            .iter()
+                            .filter(|i| i.busy_until <= now && i.expires_at > now)
+                            .count();
+                        let request = InvocationRequest {
+                            canvases: 1 + rng.index(capacity + 1),
+                            megapixels: rng.uniform_in(0.5, 9.0),
+                            submitted: now,
+                        };
+                        let a = fast.submit(request);
+                        let b = slow.submit(request);
+                        assert_eq!(a, b, "op {op} (cap {cap:?}, case {case})");
+                        if let (Ok(a), Ok(b)) = (a, b) {
+                            assert_eq!(a.cost.get().to_bits(), b.cost.get().to_bits());
+                            issued.push((a.id, a.finished));
+                            if a.cold {
+                                picks[1] += 1;
+                            } else if a.started > now {
+                                picks[2] += 1;
+                            } else if idle_before >= 2 {
+                                picks[0] += 1;
+                            }
+                        }
+                    } else if what < 0.75 {
+                        // Ack an issued id (possibly twice) or an unknown one.
+                        let id = if issued.is_empty() || rng.chance(0.1) {
+                            InvocationId::new(u64::MAX)
+                        } else {
+                            issued[rng.index(issued.len())].0
+                        };
+                        assert_eq!(fast.complete(id), slow.inner.complete(id));
+                    } else if what < 0.8 {
+                        assert_eq!(fast.evict_idle(now), slow.inner.evict_idle(now));
+                    } else if what < 0.85 {
+                        let factor = [1.0, 1.0, 2.5, 0.6][rng.index(4)];
+                        fast.set_compute_factor(factor);
+                        slow.inner.set_compute_factor(factor);
+                    } else {
+                        // Advance time: exactly to an issued invocation's
+                        // finish or expiry (the idle and expired
+                        // boundaries), past the keep-alive, or by a short
+                        // gap. Same-instant bursts are the submits between.
+                        let finished = |rng: &mut DetRng| issued[rng.index(issued.len())].1;
+                        let target = match rng.index(4) {
+                            0 if !issued.is_empty() => finished(&mut rng),
+                            1 if !issued.is_empty() => finished(&mut rng) + fast.keep_alive,
+                            2 => now + fast.keep_alive.mul_f64(rng.uniform_in(1.0, 1.5)),
+                            _ => now + SimDuration::from_micros(rng.index(120_000) as u64),
+                        };
+                        now = now.max(target);
+                    }
+                    assert_eq!(fast.stats(), slow.inner.stats(), "op {op}");
+                    assert_eq!(fast.snapshot(now), slow.inner.snapshot(now), "op {op}");
+                    assert_eq!(fast.in_flight(), slow.inner.in_flight(), "op {op}");
+                    assert_eq!(fast.next_completion(), slow.inner.next_completion());
+                }
+            }
+        }
+        assert!(
+            picks.iter().all(|&n| n > 100),
+            "every placement path is exercised: {picks:?}"
+        );
+    }
+
+    #[test]
+    fn submit_work_is_linear_in_the_pool() {
+        let mut p = platform();
+        p.max_instances = None;
+        // A warm pool of 64 instances, then steady submits one every
+        // 3 ms: an execution takes about 80 ms, so over half the pool is
+        // idle at each pick.
+        for _ in 0..64 {
+            p.invoke(req(1, 0)).unwrap();
+        }
+        let submits = 5_000u64;
+        let start = 2_000_000;
+        let scans_before = p.instance_scans();
+        for k in 0..submits {
+            p.invoke(req(1, start + k * 3_000)).unwrap();
+        }
+        let live = p.stats().peak_instances as u64;
+        let scans = p.instance_scans() - scans_before;
+        let bound = submits * (2 * live + 2);
+        assert!((64..80).contains(&live), "pool stays near 64: {live}");
+        assert!(scans >= submits * live, "every submit reaps the pool");
+        assert!(scans <= bound, "{scans} instance scans (bound {bound})");
     }
 }
