@@ -1,55 +1,26 @@
-//! Load balancing across warm instances.
+//! Round-robin placement.
 //!
 //! The paper fronts its functions with NGINX in its default (round-robin)
-//! mode; a least-used balancer is included for comparison.
+//! mode. The platform keeps its instance pool in id order, so the pick is
+//! an ordinal into the idle warm instances of that pool: no id lists, no
+//! allocation.
 
-use tangram_types::ids::InstanceId;
-
-/// Chooses one instance from the currently idle warm set.
-pub trait LoadBalancer: Send {
-    /// Picks from `idle` (sorted by id, possibly empty). `loads[i]` is the
-    /// lifetime invocation count of `idle[i]`.
-    fn pick(&mut self, idle: &[InstanceId], loads: &[u64]) -> Option<InstanceId>;
-
-    /// Balancer name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// NGINX's default strategy: rotate through instances.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
+/// NGINX's default strategy: rotate through the idle warm instances.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RoundRobin {
     cursor: usize,
 }
 
-impl LoadBalancer for RoundRobin {
-    fn pick(&mut self, idle: &[InstanceId], _loads: &[u64]) -> Option<InstanceId> {
-        if idle.is_empty() {
+impl RoundRobin {
+    /// Picks the ordinal (in id order) of one of `idle` idle instances, or
+    /// `None` when there is none. The cursor advances only on a pick.
+    pub(crate) fn pick(&mut self, idle: usize) -> Option<usize> {
+        if idle == 0 {
             return None;
         }
-        let choice = idle[self.cursor % idle.len()];
+        let nth = self.cursor % idle;
         self.cursor = self.cursor.wrapping_add(1);
-        Some(choice)
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Picks the instance with the fewest lifetime invocations.
-#[derive(Debug, Default)]
-pub struct LeastUsed;
-
-impl LoadBalancer for LeastUsed {
-    fn pick(&mut self, idle: &[InstanceId], loads: &[u64]) -> Option<InstanceId> {
-        idle.iter()
-            .zip(loads)
-            .min_by_key(|&(id, load)| (*load, *id))
-            .map(|(id, _)| *id)
-    }
-
-    fn name(&self) -> &'static str {
-        "least-used"
+        Some(nth)
     }
 }
 
@@ -57,39 +28,18 @@ impl LoadBalancer for LeastUsed {
 mod tests {
     use super::*;
 
-    fn ids(raw: &[u32]) -> Vec<InstanceId> {
-        raw.iter().map(|&r| InstanceId::new(r)).collect()
-    }
-
     #[test]
     fn round_robin_rotates() {
         let mut rr = RoundRobin::default();
-        let idle = ids(&[0, 1, 2]);
-        let loads = [0, 0, 0];
-        assert_eq!(rr.pick(&idle, &loads), Some(InstanceId::new(0)));
-        assert_eq!(rr.pick(&idle, &loads), Some(InstanceId::new(1)));
-        assert_eq!(rr.pick(&idle, &loads), Some(InstanceId::new(2)));
-        assert_eq!(rr.pick(&idle, &loads), Some(InstanceId::new(0)));
+        let picks: Vec<_> = (0..4).map(|_| rr.pick(3)).collect();
+        assert_eq!(picks, [Some(0), Some(1), Some(2), Some(0)]);
     }
 
     #[test]
     fn round_robin_empty_is_none() {
         let mut rr = RoundRobin::default();
-        assert_eq!(rr.pick(&[], &[]), None);
-    }
-
-    #[test]
-    fn least_used_prefers_cold_spots() {
-        let mut lu = LeastUsed;
-        let idle = ids(&[0, 1, 2]);
-        assert_eq!(lu.pick(&idle, &[5, 2, 9]), Some(InstanceId::new(1)));
-        // Ties break to the lowest id.
-        assert_eq!(lu.pick(&idle, &[3, 3, 9]), Some(InstanceId::new(0)));
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(RoundRobin::default().name(), "round-robin");
-        assert_eq!(LeastUsed.name(), "least-used");
+        assert_eq!(rr.pick(0), None);
+        // An empty idle set does not advance the cursor.
+        assert_eq!(rr.pick(3), Some(0));
     }
 }

@@ -10,7 +10,8 @@
 //! * [`function`] — function specs (2 vCPU / 4 GB / 6 GB GPU in the
 //!   paper's evaluation) and the GPU-memory batch bound of constraint (5);
 //! * [`platform`] — the event-driven instance pool, round-robin over idle
-//!   warm instances by id (NGINX's default).
+//!   warm instances by id (NGINX's default; the cursor lives in the private
+//!   `lb` module).
 //!
 //! # Example
 //!
@@ -33,6 +34,7 @@
 //! ```
 
 pub mod function;
+mod lb;
 pub mod platform;
 pub mod pricing;
 

@@ -14,6 +14,7 @@
 //! [`ServerlessPlatform::instance_scans`] counts the instances visited.
 
 use crate::function::FunctionSpec;
+use crate::lb::RoundRobin;
 use crate::pricing::ResourcePrices;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -136,7 +137,7 @@ pub struct ServerlessPlatform {
     model: InferenceLatencyModel,
     /// Round-robin position: advanced once per submit that finds an idle
     /// warm instance.
-    cursor: usize,
+    round_robin: RoundRobin,
     /// Instances visited by [`Self::submit`] (see [`Self::instance_scans`]).
     instance_scans: u64,
     /// Keep-alive window before an idle instance is reclaimed.
@@ -173,7 +174,7 @@ impl ServerlessPlatform {
             spec,
             prices: ResourcePrices::alibaba_fc(),
             model,
-            cursor: 0,
+            round_robin: RoundRobin::default(),
             instance_scans: 0,
             keep_alive: SimDuration::from_secs(60),
             cold_start_mean: SimDuration::from_millis(60),
@@ -313,11 +314,7 @@ impl ServerlessPlatform {
             idle += usize::from(live && i.busy_until <= now);
             live
         });
-        if idle == 0 {
-            return None;
-        }
-        let nth = self.cursor % idle;
-        self.cursor = self.cursor.wrapping_add(1);
+        let nth = self.round_robin.pick(idle)?;
         let idx = self
             .instances
             .iter()
