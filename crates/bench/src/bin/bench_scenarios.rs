@@ -1,17 +1,12 @@
 //! `bench_scenarios` — the declarative hard-scenario library, end to end.
 //!
 //! Loads every scenario file under `config/scenarios/` (see
-//! [`tangram_harness::scenario_file`]), runs each one at every shard
-//! count, and emits `BENCH_scenarios.json`. The library is the repo's
+//! [`tangram_harness::scenario_file`]), runs each one once, and emits
+//! `BENCH_scenarios.json`. The library is the repo's
 //! fault-injection gauntlet: diurnal flash crowds, content-correlated
 //! stitcher floods, brownout+partition compounds, flap storms and
 //! cold-start squeezes — each declared in TOML, validated at load time,
 //! and injected deterministically (see `docs/ARCHITECTURE.md`).
-//!
-//! Determinism is asserted, not assumed: every scenario must reproduce
-//! the single-shard [`tangram_core::report::RunSummary`] (plus the raw
-//! frame/mute/event counts) at every other shard count, or the bench
-//! exits with code 2 before writing anything.
 //!
 //! The emitted JSON splits into two kinds of fields:
 //!
@@ -21,9 +16,11 @@
 //! * **timings** (per-scenario `wall_ms`) — machine-dependent, recorded
 //!   for humans, **never** gated.
 //!
-//! Flags: the usual [`ExpOpts`] set plus `--smoke` (shard counts 1 and 2
-//! instead of 1 and 8), `--dir PATH` (scenario directory override) and
-//! `--gate PATH` (compare this run's counts against a baseline).
+//! Flags: the usual [`ExpOpts`] set plus `--smoke` (recorded as the
+//! report's `mode`; runs are deterministic in the scenario files alone,
+//! so both modes gate the same counts), `--dir PATH` (scenario directory
+//! override) and `--gate PATH` (compare this run's counts against a
+//! baseline).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -34,7 +31,7 @@ use tangram_core::report::RunReport;
 use tangram_harness::json::Json;
 use tangram_harness::ScenarioFile;
 
-/// One scenario's oracle run plus its wall time.
+/// One scenario's run plus its wall time.
 struct Row {
     name: String,
     report: RunReport,
@@ -56,7 +53,6 @@ fn main() -> ExitCode {
         .and_then(|i| args.get(i + 1))
         .map_or_else(|| PathBuf::from("config/scenarios"), PathBuf::from);
 
-    let shard_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 8] };
     let mode = if smoke { "smoke" } else { "full" };
 
     let library = match ScenarioFile::load_dir(&dir) {
@@ -72,33 +68,15 @@ fn main() -> ExitCode {
         library.len(),
         dir.display()
     );
-    println!("  shard counts {shard_counts:?} (byte-compared against the single-shard oracle)");
 
     let mut rows: Vec<Row> = Vec::new();
-    for (path, file) in &library {
+    for (_, file) in &library {
         let start = Instant::now();
-        let (oracle, _) = file.run(false, shard_counts[0]);
+        let (report, _) = file.run(false);
         let wall_s = start.elapsed().as_secs_f64();
-        // Re-run at every other shard count; any divergence is a
-        // correctness bug in the sharded runtime, not a perf result.
-        for &shards in &shard_counts[1..] {
-            let (report, _) = file.run(false, shards);
-            if report.summarize() != oracle.summarize()
-                || report.events_processed != oracle.events_processed
-                || report.frames != oracle.frames
-                || report.frames_muted != oracle.frames_muted
-            {
-                eprintln!(
-                    "DETERMINISM VIOLATION: {} ({}) diverged at {shards} shards",
-                    file.name,
-                    path.display()
-                );
-                return ExitCode::from(2);
-            }
-        }
         rows.push(Row {
             name: file.name.clone(),
-            report: oracle,
+            report,
             wall_s,
         });
     }
@@ -127,7 +105,7 @@ fn main() -> ExitCode {
         ]);
     }
     table.print();
-    println!("(counts identical at every shard count; timings informational, never gated)");
+    println!("(timings informational, never gated)");
 
     let doc = render_report(mode, &rows);
 

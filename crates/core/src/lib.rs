@@ -33,7 +33,7 @@
 //!   link outage windows, latency-tail inflation, cold-start storms,
 //!   camera flap/rejoin storms and backend brownouts, scheduled through
 //!   the engine's event loop from dedicated RNG forks so a faulted run
-//!   stays bit-for-bit reproducible at any shard count;
+//!   stays bit-for-bit reproducible;
 //! * [`engine`] — the batch entry point ([`engine::EngineConfig::run`]):
 //!   cameras → edge partitioning → uplink → scheduler → serverless
 //!   platform, producing a [`report::RunReport`] with per-patch
@@ -73,7 +73,6 @@ pub mod policy;
 pub mod report;
 pub mod runtime;
 pub mod scheduler;
-mod shard;
 pub mod workload;
 
 pub use admission::{

@@ -31,16 +31,17 @@ use crate::admission::{AdmissionPolicy, AdmissionSignals, ClosureAdmission};
 use crate::engine::EngineConfig;
 use crate::fairness::DrrIngress;
 use crate::faults::{FaultKind, FaultPlane, FaultSpec};
-use crate::policy::{Arrival, BatchSpec, BatchingPolicy, CompletionFeedback};
+use crate::policy::{Arrival, BatchSpec, BatchingPolicy, CompletionFeedback, FrameArrival};
 use crate::report::{BatchRecord, PatchRecord, RunReport};
-use crate::shard::{materialize_frame, MaterializeKind, MaterializeSpec, ShardCapture, ShardSet};
 use crate::workload::{CameraTrace, TraceFrame};
 use tangram_net::{Link, LinkConfig};
 use tangram_serverless::platform::{InvocationRequest, ServerlessPlatform};
 use tangram_sim::driver::EventLoop;
 use tangram_sim::rng::DetRng;
 use tangram_trace::{TraceEvent, TraceLog, TraceSink};
+use tangram_types::geometry::{Rect, Size};
 use tangram_types::ids::{CameraId, InvocationId, PatchId};
+use tangram_types::patch::{Patch, PatchInfo};
 use tangram_types::time::{SimDuration, SimTime};
 use tangram_types::units::Bytes;
 
@@ -121,11 +122,7 @@ impl TenantClass {
 }
 
 /// A camera as the engine sees it: a generator of edge output.
-///
-/// Sources must be [`Send`]: when the engine runs sharded
-/// ([`OnlineEngine::set_shards`]), link-independent sources move onto
-/// shard threads.
-pub trait CameraSource: Send {
+pub trait CameraSource {
     /// The camera's identity (stamped on its patches).
     fn camera(&self) -> CameraId;
 
@@ -158,11 +155,11 @@ pub trait CameraSource: Send {
     /// Whether [`CameraSource::next_capture`] ignores its `uplink_free`
     /// argument (and every other piece of shared engine state).
     ///
-    /// Only link-independent sources are eligible for sharding: their
-    /// capture timeline is a pure function of the source's own state and
-    /// RNG, so a shard thread can replay it ahead of the coordinator and
-    /// still produce bit-identical draws. Closed-loop sources (which
-    /// pace on the shared uplink) must return `false` — the default.
+    /// A link-independent source's capture timeline is a pure function
+    /// of its own state and RNG. Closed-loop sources (which pace on the
+    /// shared uplink) must return `false` — the default. The engine does
+    /// not consult this; it describes the source to callers that wrap
+    /// or inspect it.
     fn link_independent(&self) -> bool {
         false
     }
@@ -396,15 +393,110 @@ impl CameraSource for GeneratedSource {
     }
 }
 
+/// Which wire representation [`materialize_frame`] builds — derived
+/// from the engine's [`crate::engine::PolicyKind`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MaterializeKind {
+    /// Patch-based policies ship every RoI patch separately.
+    Patch {
+        /// ELF re-encodes patches (different byte sizes per patch).
+        elf: bool,
+    },
+    /// Frame-based baselines ship one oversized "patch" per frame.
+    Frame {
+        /// Masked-frame transfers background-suppressed bytes.
+        masked: bool,
+    },
+}
+
+impl MaterializeKind {
+    /// The wire representation for `policy`.
+    pub(crate) fn of(policy: crate::engine::PolicyKind) -> Self {
+        if policy.patch_based() {
+            Self::Patch {
+                elf: policy == crate::engine::PolicyKind::Elf,
+            }
+        } else {
+            Self::Frame {
+                masked: policy == crate::engine::PolicyKind::MaskedFrame,
+            }
+        }
+    }
+}
+
+/// Turns one captured frame into the `(Arrival, Bytes)` work items the
+/// engine feeds to the uplink, in wire order — one source of truth for
+/// id stamping, byte selection and SLO stamping.
+pub(crate) fn materialize_frame(
+    frame: &TraceFrame,
+    camera_id: CameraId,
+    slo: SimDuration,
+    generated_at: SimTime,
+    kind: MaterializeKind,
+) -> Vec<(Arrival, Bytes)> {
+    match kind {
+        MaterializeKind::Patch { elf } => frame
+            .patches
+            .iter()
+            .enumerate()
+            .map(|(i, patch)| {
+                let bytes = if elf {
+                    frame.elf_patch_bytes[i]
+                } else {
+                    patch.encoded_size
+                };
+                let info = PatchInfo {
+                    generated_at,
+                    slo,
+                    ..patch.info
+                };
+                (Arrival::Patch(Patch::new(info, bytes)), bytes)
+            })
+            .collect(),
+        MaterializeKind::Frame { masked } => {
+            let bytes = if masked {
+                frame.masked_frame_bytes
+            } else {
+                frame.full_frame_bytes
+            };
+            let mpx = if masked {
+                frame.masked_megapixels
+            } else {
+                frame.full_megapixels
+            };
+            // The frame travels as one oversized "patch".
+            let base = frame.patches.first().map_or_else(
+                || PatchInfo {
+                    id: PatchId::new(
+                        (u64::from(camera_id.raw()) << 40) | (1 << 39) | frame.frame.raw(),
+                    ),
+                    camera: camera_id,
+                    frame: frame.frame,
+                    rect: Rect::from_size(Size::UHD_4K),
+                    generated_at,
+                    slo,
+                },
+                |p| PatchInfo {
+                    id: PatchId::new(p.info.id.raw() | (1 << 39)),
+                    rect: Rect::from_size(Size::UHD_4K),
+                    generated_at,
+                    slo,
+                    ..p.info
+                },
+            );
+            vec![(
+                Arrival::Frame(FrameArrival {
+                    info: base,
+                    effective_megapixels: mpx,
+                }),
+                bytes,
+            )]
+        }
+    }
+}
+
 struct CameraSlot {
-    /// `None` while the source lives on a shard thread.
-    source: Option<Box<dyn CameraSource>>,
-    /// The source's identity, cached so trace events survive the move.
-    camera: CameraId,
-    /// When the camera was scheduled to join the stream.
-    join_at: SimTime,
-    /// Whether the source was moved onto a shard for this run.
-    sharded: bool,
+    source: Box<dyn CameraSource>,
     active: bool,
 }
 
@@ -451,20 +543,9 @@ pub struct OnlineEngine {
     dropped_by_slo: Vec<(SimDuration, u64)>,
     /// Invocations completed (trace accounting).
     completions: u64,
-    /// Events popped off the coordinator loop (wall-clock perf
+    /// Events popped off the event loop (wall-clock perf
     /// denominator for `bench_throughput`; pure accounting).
     events_processed: u64,
-    /// Per-shard credit window (how far a shard may run ahead of the
-    /// coordinator). Defaults to the production
-    /// [`tangram_types::credit::CREDIT_WINDOW`]; the `CREDIT_WINDOW=1`
-    /// regression suite narrows it to the minimum via
-    /// [`OnlineEngine::set_credit_window`].
-    credit_window: usize,
-    /// Requested shard count (1 = fully inline, the byte-compare
-    /// oracle).
-    shards: usize,
-    /// The live shard plane, mounted at the start of a sharded run.
-    shard_set: Option<ShardSet>,
     /// Declarative fault windows, installed as a [`FaultPlane`] at the
     /// start of the run (once the final camera count is known).
     pending_faults: Vec<FaultSpec>,
@@ -514,9 +595,6 @@ impl OnlineEngine {
             dropped_by_slo: Vec::new(),
             completions: 0,
             events_processed: 0,
-            credit_window: tangram_types::credit::CREDIT_WINDOW,
-            shards: 1,
-            shard_set: None,
             pending_faults: Vec::new(),
             faults: FaultPlane::default(),
             frames_muted: 0,
@@ -529,82 +607,12 @@ impl OnlineEngine {
     /// index (usable with [`OnlineEngine::remove_camera_at`]).
     pub fn add_camera_at(&mut self, at: SimTime, source: Box<dyn CameraSource>) -> usize {
         let cam = self.cameras.len();
-        let camera = source.camera();
         self.cameras.push(CameraSlot {
-            source: Some(source),
-            camera,
-            join_at: at,
-            sharded: false,
+            source,
             active: false,
         });
         self.events.schedule(at, StreamEvent::CameraJoin { cam });
         cam
-    }
-
-    /// Partitions link-independent cameras across `shards` worker
-    /// threads for the run (default 1 = fully inline).
-    ///
-    /// Sharding is a pure execution strategy: the run's digests, BENCH
-    /// json and runtime trace are byte-identical at any shard count,
-    /// because only camera-local generation work (frame cloning, RNG
-    /// draws, id stamping) moves off the coordinator — see the
-    /// `crate::shard` module for the model. Closed-loop sources (which
-    /// pace on the shared uplink) always stay inline.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// Narrows the per-shard credit window (clamped to ≥ 1; the
-    /// production default is
-    /// [`tangram_types::credit::CREDIT_WINDOW`]).
-    ///
-    /// Like the shard count, the window is a pure execution knob: the
-    /// protocol's merge order is credit-oblivious — proven across
-    /// interleavings by the `tangram-model` explorer and pinned end to
-    /// end by the `CREDIT_WINDOW=1` regression — so any window yields
-    /// byte-identical output, only with different shard run-ahead.
-    pub fn set_credit_window(&mut self, window: usize) {
-        self.credit_window = window.max(1);
-    }
-
-    /// Moves eligible camera sources onto shard threads. A no-op for
-    /// one-shard runs, runs with fewer than two eligible cameras, and
-    /// closed-loop sources.
-    fn mount_shards(&mut self) {
-        if self.shards <= 1 {
-            return;
-        }
-        let eligible: Vec<usize> = (0..self.cameras.len())
-            .filter(|&cam| {
-                self.cameras[cam]
-                    .source
-                    .as_ref()
-                    .is_some_and(|s| s.link_independent())
-            })
-            .collect();
-        if eligible.len() < 2 {
-            return;
-        }
-        let shards = self.shards.min(eligible.len());
-        let spec = MaterializeSpec {
-            kind: MaterializeKind::of(self.config.policy),
-            default_slo: self.config.slo,
-            frame_interval: self.frame_interval,
-        };
-        let mut partitions: Vec<Vec<crate::shard::ShardCamera>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for (k, &cam) in eligible.iter().enumerate() {
-            let slot = &mut self.cameras[cam];
-            let source = slot.source.take().expect("eligible camera has a source");
-            slot.sharded = true;
-            partitions[k % shards].push((cam, slot.join_at, source));
-        }
-        self.shard_set = Some(ShardSet::spawn(
-            partitions,
-            spec,
-            self.cameras.len(),
-            self.credit_window,
-        ));
     }
 
     /// Schedules camera `cam` to leave the stream at `at`; frames it
@@ -694,7 +702,6 @@ impl OnlineEngine {
     pub fn run_traced(mut self) -> (RunReport, Option<TraceLog>) {
         assert!(!self.cameras.is_empty(), "need at least one camera source");
         self.install_faults();
-        self.mount_shards();
         let cameras = self.cameras.len() as u64;
         self.emit_trace(
             SimTime::ZERO,
@@ -746,11 +753,6 @@ impl OnlineEngine {
                 makespan_us: self.events.now().since(SimTime::ZERO).as_micros(),
             },
         );
-        // Stop the shard threads before reporting: any speculative
-        // captures beyond what the coordinator consumed are discarded.
-        if let Some(set) = self.shard_set.take() {
-            set.shutdown();
-        }
         let trace = self.trace.take().map(TraceSink::finish);
         let report = RunReport {
             policy: self.config.policy.name().to_string(),
@@ -782,13 +784,13 @@ impl OnlineEngine {
     fn handle(&mut self, now: SimTime, event: StreamEvent) {
         match event {
             StreamEvent::CameraJoin { cam } => {
-                let camera = u64::from(self.cameras[cam].camera.raw());
+                let camera = u64::from(self.cameras[cam].source.camera().raw());
                 self.emit_trace(now, TraceEvent::CameraJoin { camera });
                 self.cameras[cam].active = true;
                 self.capture(now, cam);
             }
             StreamEvent::CameraLeave { cam } => {
-                let camera = u64::from(self.cameras[cam].camera.raw());
+                let camera = u64::from(self.cameras[cam].source.camera().raw());
                 self.emit_trace(now, TraceEvent::CameraLeave { camera });
                 self.cameras[cam].active = false;
             }
@@ -971,36 +973,19 @@ impl OnlineEngine {
         }
     }
 
+    /// Drives camera `cam`'s source through one capture at `now`:
+    /// `next_frame` → materialise → deliver → `next_capture`.
     fn capture(&mut self, now: SimTime, cam: usize) {
-        if self.cameras[cam].sharded {
-            self.capture_sharded(now, cam);
-        } else {
-            self.capture_inline(now, cam);
-        }
-    }
-
-    /// The inline capture path: the source lives on the coordinator and
-    /// is driven synchronously (the 1-shard oracle, and every
-    /// closed-loop source in any run).
-    fn capture_inline(&mut self, now: SimTime, cam: usize) {
-        let source = self.cameras[cam]
-            .source
-            .as_mut()
-            .expect("inline camera keeps its source");
+        let source = &mut self.cameras[cam].source;
         let Some(frame) = source.next_frame() else {
             self.cameras[cam].active = false;
             return;
         };
         self.frames_injected += 1;
-        let camera_id = self.cameras[cam].camera;
-        let source = self.cameras[cam]
-            .source
-            .as_ref()
-            .expect("inline camera keeps its source");
         let slo = source.slo().unwrap_or(self.config.slo);
         let arrivals = materialize_frame(
             &frame,
-            camera_id,
+            source.camera(),
             slo,
             now,
             MaterializeKind::of(self.config.policy),
@@ -1012,55 +997,15 @@ impl OnlineEngine {
         }
 
         let uplink_free = self.link.busy_until();
-        let frame_interval = self.frame_interval;
-        let source = self.cameras[cam]
-            .source
-            .as_mut()
-            .expect("inline camera keeps its source");
-        let next = source.next_capture(now, frame_interval, uplink_free);
-        let exhausted = source.is_exhausted();
-        if !exhausted && self.cameras[cam].active {
+        let source = &mut self.cameras[cam].source;
+        let next = source.next_capture(now, self.frame_interval, uplink_free);
+        if !source.is_exhausted() && self.cameras[cam].active {
             self.events.schedule(next, StreamEvent::Capture { cam });
         }
     }
 
-    /// The sharded capture path: the owning shard already ran the exact
-    /// same `next_frame` → materialize → `next_capture` sequence; the
-    /// coordinator consumes the pre-computed result and applies it to
-    /// the shared state in merge order.
-    fn capture_sharded(&mut self, now: SimTime, cam: usize) {
-        let capture = self
-            .shard_set
-            .as_mut()
-            .expect("sharded camera has a shard set")
-            .next_for(cam);
-        match capture {
-            ShardCapture::End => {
-                self.cameras[cam].active = false;
-            }
-            ShardCapture::Frame { arrivals, next } => {
-                self.frames_injected += 1;
-                // Mute windows apply on the coordinator only: the shard
-                // replayed the exact same generation sequence, so
-                // dropping the materialised arrivals here keeps faulted
-                // runs byte-identical at any shard count.
-                if self.faults.is_muted(cam, now) {
-                    self.frames_muted += 1;
-                } else {
-                    self.deliver(now, arrivals);
-                }
-                if let Some(next) = next {
-                    if self.cameras[cam].active {
-                        self.events.schedule(next, StreamEvent::Capture { cam });
-                    }
-                }
-            }
-        }
-    }
-
     /// Feeds one frame's wire items to the shared uplink, scheduling
-    /// their cloud arrivals — the shared-state tail of a capture, common
-    /// to the inline and sharded paths.
+    /// their cloud arrivals — the shared-state tail of a capture.
     fn deliver(&mut self, now: SimTime, arrivals: Vec<(Arrival, Bytes)>) {
         let ready = now + self.config.edge_delay;
         for (arrival, bytes) in arrivals {
@@ -1517,97 +1462,6 @@ mod tests {
             report.patches.iter().map(|p| p.slo.as_micros()).collect();
         assert!(slos.contains(&600_000), "gold SLO stamped");
         assert!(slos.contains(&3_000_000), "best-effort SLO stamped");
-    }
-
-    #[test]
-    fn sharded_runs_match_the_inline_oracle() {
-        let build = || {
-            let mut engine = OnlineEngine::new(&config(PolicyKind::Tangram));
-            for i in 0..6u8 {
-                engine.add_camera_at(
-                    SimTime::from_micros(u64::from(i) * 700),
-                    Box::new(poisson_source(1 + i, 30, 12.0, 40 + u64::from(i))),
-                );
-            }
-            engine
-        };
-        let oracle = build().run();
-        for shards in [2, 3, 8] {
-            let mut engine = build();
-            engine.set_shards(shards);
-            let sharded = engine.run();
-            assert_eq!(
-                sharded.summarize(),
-                oracle.summarize(),
-                "digest must be byte-identical at {shards} shards"
-            );
-            assert_eq!(sharded.frames, oracle.frames);
-            assert_eq!(sharded.events_processed, oracle.events_processed);
-        }
-    }
-
-    #[test]
-    fn minimum_credit_window_matches_the_inline_oracle() {
-        // CREDIT_WINDOW=1 is the tightest flow control the protocol
-        // supports: every shard hand-off round-trips one credit. The
-        // digests must still be byte-identical to the 1-shard oracle —
-        // the window is pure run-ahead, never ordering.
-        let build = || {
-            let mut engine = OnlineEngine::new(&config(PolicyKind::Tangram));
-            for i in 0..5u8 {
-                engine.add_camera_at(
-                    SimTime::from_micros(u64::from(i) * 900),
-                    Box::new(poisson_source(1 + i, 24, 11.0, 70 + u64::from(i))),
-                );
-            }
-            engine
-        };
-        let oracle = build().run();
-        for shards in [2, 3] {
-            let mut engine = build();
-            engine.set_shards(shards);
-            engine.set_credit_window(1);
-            let tight = engine.run();
-            assert_eq!(
-                tight.summarize(),
-                oracle.summarize(),
-                "CREDIT_WINDOW=1 at {shards} shards diverged from the oracle"
-            );
-            assert_eq!(tight.frames, oracle.frames);
-            assert_eq!(tight.events_processed, oracle.events_processed);
-        }
-    }
-
-    #[test]
-    fn sharding_leaves_closed_loop_sources_inline() {
-        // Trace replay paces on the shared uplink, so it must stay on
-        // the coordinator even when shards are requested — and produce
-        // the exact legacy digest.
-        let t = trace(1, 10);
-        let cfg = config(PolicyKind::Tangram);
-        let batch = cfg.run(std::slice::from_ref(&t));
-        let mut online = OnlineEngine::new(&cfg);
-        online.add_camera_at(SimTime::ZERO, Box::new(TraceReplaySource::new(t)));
-        online.set_shards(8);
-        assert_eq!(online.run().summarize(), batch.summarize());
-    }
-
-    #[test]
-    fn sharded_churn_matches_inline() {
-        // A camera that leaves mid-run: the coordinator stops consuming
-        // its shard stream; digests still match the inline run.
-        let build = || {
-            let mut engine = OnlineEngine::new(&config(PolicyKind::Tangram));
-            let cam =
-                engine.add_camera_at(SimTime::ZERO, Box::new(poisson_source(1, 200, 10.0, 9)));
-            engine.add_camera_at(SimTime::ZERO, Box::new(poisson_source(2, 50, 10.0, 10)));
-            engine.remove_camera_at(SimTime::from_secs_f64(5.0), cam);
-            engine
-        };
-        let oracle = build().run().summarize();
-        let mut sharded = build();
-        sharded.set_shards(2);
-        assert_eq!(sharded.run().summarize(), oracle);
     }
 
     #[test]

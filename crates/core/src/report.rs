@@ -99,11 +99,10 @@ pub struct RunReport {
     pub transmission_busy: SimDuration,
     /// Simulated makespan of the run.
     pub makespan: SimDuration,
-    /// Events popped off the engine's coordinator loop — the wall-clock
+    /// Events popped off the engine's event loop — the wall-clock
     /// perf denominator `bench_throughput` reports events/sec over.
-    /// Deterministic (a pure function of the workload, identical at any
-    /// shard count) but *not* part of [`RunSummary`]: it measures the
-    /// runtime, not the policy.
+    /// Deterministic (a pure function of the workload) but *not* part of
+    /// [`RunSummary`]: it measures the runtime, not the policy.
     pub events_processed: u64,
 }
 

@@ -17,9 +17,6 @@ pub struct ExpOpts {
     /// Directory to write `BENCH_<name>.json` reports into (`--out DIR`);
     /// default: don't write.
     pub out: Option<PathBuf>,
-    /// Engine shard-count override (`--shards N`) for streaming-scenario
-    /// runs; default: single-shard (the byte-compare oracle).
-    pub shards: Option<usize>,
 }
 
 impl ExpOpts {
@@ -59,12 +56,6 @@ impl ExpOpts {
                         i += 1;
                     }
                 }
-                "--shards" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.shards = Some(v);
-                        i += 1;
-                    }
-                }
                 "--out" => {
                     if let Some(v) = args.get(i + 1) {
                         opts.out = Some(PathBuf::from(v));
@@ -94,12 +85,6 @@ impl ExpOpts {
     #[must_use]
     pub fn workers(&self) -> usize {
         crate::pool::resolve_workers(self.workers)
-    }
-
-    /// The resolved engine shard count (default 1).
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.unwrap_or(1).max(1)
     }
 
     /// Writes the report into `--out` (if given), printing the path.
@@ -157,16 +142,6 @@ mod tests {
     fn ignores_unknown_flags() {
         let o = opts(&["--smoke", "--seed", "9"]);
         assert_eq!(o.seed, 9);
-    }
-
-    #[test]
-    fn parses_shards() {
-        assert_eq!(opts(&[]).shards(), 1);
-        let o = opts(&["--shards", "8"]);
-        assert_eq!(o.shards, Some(8));
-        assert_eq!(o.shards(), 8);
-        // Zero clamps to the inline oracle.
-        assert_eq!(opts(&["--shards", "0"]).shards(), 1);
     }
 
     #[test]

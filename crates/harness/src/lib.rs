@@ -76,8 +76,7 @@ pub use grid::{
 pub use pool::parallel_map;
 pub use report::{gate, BenchReport, CellReport, GateConfig, SCHEMA_VERSION};
 pub use runner::{
-    bench_report, run_grid, run_grid_full, run_scenario, run_scenario_sharded, run_scenario_traced,
-    CellOutcome,
+    bench_report, run_grid, run_grid_full, run_scenario, run_scenario_traced, CellOutcome,
 };
 pub use scenario_file::{RunSpec, ScenarioFile};
 pub use table::TextTable;

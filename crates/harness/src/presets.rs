@@ -370,9 +370,8 @@ pub fn city_scale_traces(cameras: usize, pool_frames: usize, seed: u64) -> Vec<C
 }
 
 /// The city-scale streaming scenario: open-loop Poisson cameras with the
-/// standard tenant mix, joining in a short stagger. Every camera is
-/// link-independent, so the whole fleet is eligible for sharding — the
-/// workload `bench_throughput` scales across cores.
+/// standard tenant mix, joining in a short stagger — the workload
+/// `bench_throughput` times on one thread.
 #[must_use]
 pub fn city_scale_scenario(frames_per_camera: usize) -> ScenarioSpec {
     ScenarioSpec {

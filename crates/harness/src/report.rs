@@ -588,10 +588,8 @@ fn grid_from_value(value: &Json) -> Result<SweepGrid, String> {
         scenarios,
         admission,
         fairness,
-        // Execution-only fields, never serialized into BENCH json.
+        // Execution-only field, never serialized into BENCH json.
         capture_traces: false,
-        shards: 1,
-        credit_window: None,
     })
 }
 

@@ -62,8 +62,6 @@ pub fn run_grid_full(grid: &SweepGrid, workers: usize) -> Vec<CellOutcome> {
     let admission = grid.admission.clone();
     let fairness = grid.fairness.clone();
     let capture = grid.capture_traces;
-    let shards = grid.shards;
-    let credit_window = grid.credit_window;
     parallel_map(cells, workers, move |_, cell| {
         let traces = Arc::clone(&traces[&(cell.workload_index, cell.trace_seed)]);
         let admission = cell.admission_index.map(|i| &admission[i]);
@@ -84,16 +82,9 @@ pub fn run_grid_full(grid: &SweepGrid, workers: usize) -> Vec<CellOutcome> {
                 // is shed or queued).
                 _ => run_replay(&config, &traces, cell.slo_s, admission, fairness, capture),
             },
-            Some(scenario) => run_scenario_sharded(
-                &config,
-                &traces,
-                scenario,
-                admission,
-                fairness,
-                capture,
-                shards,
-                credit_window,
-            ),
+            Some(scenario) => {
+                run_scenario_traced(&config, &traces, scenario, admission, fairness, capture)
+            }
         };
         CellOutcome {
             cell,
@@ -167,38 +158,7 @@ pub fn run_scenario_traced(
     fairness: Option<&FairnessSpec>,
     capture: bool,
 ) -> (RunReport, Option<TraceLog>) {
-    run_scenario_sharded(
-        config, traces, scenario, admission, fairness, capture, 1, None,
-    )
-}
-
-/// [`run_scenario_traced`] on a sharded engine: link-independent camera
-/// sources are partitioned across `shards` worker threads (see
-/// [`OnlineEngine::set_shards`]). Sharding is a pure execution strategy
-/// — the report and trace are byte-identical at any shard count, which
-/// is exactly what `bench_throughput` exploits to measure wall-clock
-/// scaling against an unchanged workload. `credit_window` narrows the
-/// per-shard credit window (`None` = the production
-/// [`tangram_types::credit::CREDIT_WINDOW`]); like the shard
-/// count it is byte-invisible, pinned by the `CREDIT_WINDOW=1` case in
-/// `tests/harness_determinism.rs`.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_sharded(
-    config: &EngineConfig,
-    traces: &[CameraTrace],
-    scenario: &ScenarioSpec,
-    admission: Option<&AdmissionSpec>,
-    fairness: Option<&FairnessSpec>,
-    capture: bool,
-    shards: usize,
-    credit_window: Option<usize>,
-) -> (RunReport, Option<TraceLog>) {
     let mut engine = OnlineEngine::new(config);
-    engine.set_shards(shards);
-    if let Some(window) = credit_window {
-        engine.set_credit_window(window);
-    }
     engine.set_faults(scenario.faults.clone());
     if let Some(spec) = admission {
         engine.set_admission_policy(spec.build(&scenario.tenant_slos_s));

@@ -56,7 +56,7 @@
 
 use crate::grid::{AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec};
 use crate::presets::build_trace;
-use crate::runner::run_scenario_sharded;
+use crate::runner::run_scenario_traced;
 use crate::toml::{TomlDocument, TomlEntry, TomlError, TomlTable, TomlValue};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -344,22 +344,19 @@ impl ScenarioFile {
             .collect()
     }
 
-    /// Runs the scenario end to end on `shards` engine shards,
-    /// optionally capturing the runtime event trace. Deterministic in
-    /// the file contents alone: byte-identical report and trace at any
-    /// shard count.
+    /// Runs the scenario end to end, optionally capturing the runtime
+    /// event trace. Deterministic in the file contents alone: every run
+    /// yields a byte-identical report and trace.
     #[must_use]
-    pub fn run(&self, capture: bool, shards: usize) -> (RunReport, Option<TraceLog>) {
+    pub fn run(&self, capture: bool) -> (RunReport, Option<TraceLog>) {
         let traces = self.build_traces();
-        run_scenario_sharded(
+        run_scenario_traced(
             &self.engine_config(),
             &traces,
             &self.scenario,
             self.admission.as_ref(),
             self.fairness.as_ref(),
             capture,
-            shards,
-            None,
         )
     }
 }
@@ -982,12 +979,12 @@ mod tests {
     }
 
     #[test]
-    fn scenario_runs_deterministically_across_shards() {
+    fn scenario_runs_deterministically_across_reruns() {
         let fault =
             "\n[[fault]]\nkind = \"brownout\"\nfactor = 2.0\nat_s = 1.0\nduration_s = 3.0\n";
         let file = ScenarioFile::parse_str(&format!("{}{fault}", minimal())).unwrap();
-        let (a, _) = file.run(false, 1);
-        let (b, _) = file.run(false, 4);
+        let (a, _) = file.run(false);
+        let (b, _) = file.run(false);
         assert_eq!(a.summarize(), b.summarize());
         assert!(a.frames > 0);
     }

@@ -1,25 +1,23 @@
 //! The concurrency-discipline rule family.
 //!
-//! The sharded runtime's correctness argument has two legs: the bounded
-//! model checker (`crates/model`) proves the credit protocol within its
-//! preemption bounds, and these lints keep the *real* code inside the
-//! envelope the model actually covers. A thread spawned outside the
-//! sanctioned sites, a channel created ad hoc, or a lock held across a
-//! blocking channel call is concurrency the model has never seen — so
-//! each is a finding until a waiver ties it back to the checked
-//! protocol.
+//! The workspace's cross-thread code has a correctness argument with
+//! two legs: the bounded model checker (`crates/model`) proves the
+//! vendored channel discipline within its preemption bounds, and these
+//! lints keep the *real* code inside the envelope the model actually
+//! covers. A thread spawned outside the sanctioned sites, a channel
+//! created ad hoc, or a lock held across a blocking channel call is
+//! concurrency the model has never seen — so each is a finding until a
+//! waiver ties it back to the checked discipline.
 //!
 //! * **`conc-raw-thread`** — `thread::spawn` / `thread::scope` anywhere
 //!   under `crates/*/src`. The sanctioned spawn sites (the live
-//!   runtime's worker, `ShardSet::spawn`, the harness sweep pool) carry
-//!   waivers in `config/lint_allow.toml` whose justifications name the
-//!   protocol that disciplines them.
+//!   runtime's worker and the harness sweep pool) carry waivers in
+//!   `config/lint_allow.toml` whose justifications name the discipline
+//!   that governs them.
 //! * **`conc-unbounded-channel`** — `unbounded` channel construction.
-//!   Every sanctioned channel is either credit-bounded by protocol (the
-//!   shard data channels, occupancy-checked by the model) or drained by
-//!   construction (the runtime dispatch queue, the sweep pool's job
-//!   list); a new unbounded channel needs the same argument, in a
-//!   waiver justification.
+//!   Every sanctioned channel is drained by construction (the runtime
+//!   dispatch queue, the sweep pool's job list); a new unbounded channel
+//!   needs the same argument, in a waiver justification.
 //! * **`conc-lock-across-send`** — a `let`-bound lock guard still live
 //!   on a line that calls `.send(` / `.recv(`. Blocking on a channel
 //!   while holding a mutex is the shape of every deadlock the model
@@ -82,8 +80,8 @@ pub fn check_concurrency(root: &Path) -> Result<Vec<Violation>, String> {
                     &rel,
                     line.number,
                     "conc-unbounded-channel",
-                    "`unbounded` channel construction; sanctioned channels are credit-bounded \
-                     or drained by construction, and say so in a waiver"
+                    "`unbounded` channel construction; sanctioned channels are drained by \
+                     construction, and say so in a waiver"
                         .to_string(),
                 ));
             }

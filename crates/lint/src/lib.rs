@@ -1,8 +1,8 @@
 //! Static workspace invariant checker (`tangram-lint`).
 //!
 //! The reproduction's headline guarantee — SLO-aware batching results
-//! gated by byte-identical BENCH/TRACE baselines at any worker or shard
-//! count — rests on rules that, until this crate, were enforced only
+//! gated by byte-identical BENCH/TRACE baselines at any worker count —
+//! rests on rules that, until this crate, were enforced only
 //! *dynamically*: an ambient wall-clock read or a `HashMap` iteration
 //! feeding serialized output is caught when (and only when) a runtime
 //! byte-comparison happens to diverge, often PRs after the regression
@@ -130,7 +130,7 @@ pub const RULES: [Rule; 14] = [
     },
     Rule {
         id: "conc-unbounded-channel",
-        summary: "no unbounded channels without a credit/drain waiver",
+        summary: "no unbounded channels without a drain waiver",
     },
     Rule {
         id: "conc-lock-across-send",

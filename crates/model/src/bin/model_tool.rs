@@ -1,11 +1,11 @@
 //! `model_tool` — the bounded model checker's CLI.
 //!
 //! The CI lints job runs `model_tool check --smoke` beside `lint_tool
-//! check`: a schedule in which the credit protocol deadlocks, loses a
-//! wakeup, overfills a data queue or merges out of oracle order fails
-//! the build with the offending schedule printed — and so does a
-//! seeded mutant the explorer fails to catch, because a checker that
-//! cannot kill its mutants proves nothing.
+//! check`: a schedule in which the vendored channel discipline
+//! deadlocks, loses a wakeup or drops a message fails the build with
+//! the offending schedule printed — and so does a seeded mutant the
+//! explorer fails to catch, because a checker that cannot kill its
+//! mutants proves nothing.
 //!
 //! Subcommands:
 //!
@@ -16,8 +16,8 @@
 //!   log). Exit 0 when the suite passes, 1 on any failure, 2 on usage
 //!   errors. Truncation is never silent: a row that tripped its
 //!   schedule budget says so and fails the suite.
-//! * `mutants` — list the seeded mutants with their expected
-//!   violation classes.
+//! * `mutants` — list the seeded mutant with its expected violation
+//!   class.
 
 use std::process::ExitCode;
 
@@ -30,20 +30,14 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("check") => check(&args[1..]),
         Some("mutants") => {
-            for mutant in [
-                Mutant::DropCreditReturn,
-                Mutant::UnboundedSend,
-                Mutant::SkipCreditNotify,
-                Mutant::DisconnectNotifyOne,
-            ] {
-                let expected = mutant.expected_violation().map_or("-", |kind| kind.label());
-                println!(
-                    "{:<24} {:<24} {}",
-                    mutant.label(),
-                    expected,
-                    mutant.describe()
-                );
-            }
+            let mutant = Mutant::DisconnectNotifyOne;
+            let expected = mutant.expected_violation().map_or("-", |kind| kind.label());
+            println!(
+                "{:<24} {:<24} {}",
+                mutant.label(),
+                expected,
+                mutant.describe()
+            );
             ExitCode::SUCCESS
         }
         _ => {
@@ -67,7 +61,7 @@ fn check(args: &[String]) -> ExitCode {
     }
 
     println!(
-        "model_tool: exploring the credit protocol ({} mode)",
+        "model_tool: exploring the channel discipline ({} mode)",
         mode.label()
     );
     let suite = run_suite(mode);
@@ -91,7 +85,7 @@ fn check(args: &[String]) -> ExitCode {
             }
         };
         let verdict = match &row.outcome {
-            RowOutcome::Proved => "ok: all four properties hold".to_string(),
+            RowOutcome::Proved => "ok: every property holds".to_string(),
             RowOutcome::Violated(ce) => {
                 format!("VIOLATED: {} — {}", ce.kind.label(), ce.detail)
             }
@@ -130,7 +124,7 @@ fn check(args: &[String]) -> ExitCode {
         );
     }
     if suite.ok() {
-        println!("model_tool: OK — protocol proved within bounds, all mutants caught");
+        println!("model_tool: OK — discipline proved within bounds, all mutants caught");
         ExitCode::SUCCESS
     } else {
         eprintln!("model_tool: FAILED (see table above)");

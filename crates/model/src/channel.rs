@@ -10,21 +10,11 @@
 //! where a racing waiter can park between the state change and the
 //! wakeup, and the checker must explore both orders.
 //!
-//! The op enums also carry the seeded-mutant switch points:
-//! [`NotifyOnSend`] and [`NotifyOnDisconnect`] select between the
-//! vendored discipline and a deliberately broken one, so the explorer
-//! can demonstrate it distinguishes the two.
+//! [`NotifyOnDisconnect`] carries the seeded-mutant switch point: it
+//! selects between the vendored discipline and a deliberately broken
+//! one, so the explorer can demonstrate it distinguishes the two.
 
-use crate::sched::{ChanId, Chooser, ThreadId, ViolationKind, World};
-
-/// `send`'s post-push notification discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NotifyOnSend {
-    /// The vendored behavior: `notify_one` after every push.
-    One,
-    /// Mutant: skip the notify entirely (models a dropped wakeup).
-    Skip,
-}
+use crate::sched::{ChanId, Chooser, ThreadId, World};
 
 /// `Sender::drop`'s last-sender notification discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,13 +36,12 @@ pub enum Recv {
     Disconnected,
 }
 
-/// `Sender::send`: lock → push + unlock → notify, as three explorer
-/// steps (the first may block on the lock).
+/// `Sender::send`: lock → push + unlock → `notify_one`, as three
+/// explorer steps (the first may block on the lock).
 #[derive(Debug)]
 pub struct SendOp {
     chan: ChanId,
     value: u64,
-    notify: NotifyOnSend,
     stage: SendStage,
 }
 
@@ -67,11 +56,10 @@ enum SendStage {
 impl SendOp {
     /// A fresh send of `value` into `chan`.
     #[must_use]
-    pub fn new(chan: ChanId, value: u64, notify: NotifyOnSend) -> SendOp {
+    pub fn new(chan: ChanId, value: u64) -> SendOp {
         SendOp {
             chan,
             value,
-            notify,
             stage: SendStage::Lock,
         }
     }
@@ -92,7 +80,6 @@ impl SendOp {
                 let state = world.chan_mut(self.chan);
                 state.queue.push_back(self.value);
                 let depth = state.queue.len();
-                let bound = state.bound;
                 if world.is_recording() {
                     let label = world.chan(self.chan).label.clone();
                     world.record(
@@ -100,30 +87,14 @@ impl SendOp {
                         &format!("pushes {} into {label} (depth {depth})", self.value),
                     );
                 }
-                if let Some(bound) = bound {
-                    if depth > bound {
-                        let label = world.chan(self.chan).label.clone();
-                        world.fail(
-                            ViolationKind::Occupancy,
-                            format!("{label} holds {depth} messages, bound {bound}"),
-                        );
-                    }
-                }
                 world.release(mutex, tid, chooser);
                 self.stage = SendStage::Notify;
                 false
             }
             SendStage::Notify => {
                 let ready = world.chan(self.chan).ready;
-                match self.notify {
-                    NotifyOnSend::One => {
-                        world.record(tid, "notifies one receiver");
-                        world.notify_one(ready, chooser);
-                    }
-                    NotifyOnSend::Skip => {
-                        world.record(tid, "SKIPS the post-send notify (mutant)");
-                    }
-                }
+                world.record(tid, "notifies one receiver");
+                world.notify_one(ready, chooser);
                 self.stage = SendStage::Done;
                 true
             }
@@ -361,8 +332,8 @@ mod tests {
     fn uncontended_send_then_recv_round_trips() {
         let mut w = World::new(false);
         let t = w.add_thread("t");
-        let c = w.add_channel("data", 1, 1, None);
-        drain_send(&mut w, t, SendOp::new(c, 42, NotifyOnSend::One));
+        let c = w.add_channel("data", 1, 1);
+        drain_send(&mut w, t, SendOp::new(c, 42));
         assert_eq!(w.chan(c).queue.len(), 1);
         let mut recv = RecvOp::new(c);
         let mut chooser = Fifo;
@@ -378,22 +349,10 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_bound_trips_on_overfull_queue() {
-        let mut w = World::new(false);
-        let t = w.add_thread("t");
-        let c = w.add_channel("data", 1, 1, Some(1));
-        drain_send(&mut w, t, SendOp::new(c, 1, NotifyOnSend::One));
-        assert!(w.violation.is_none());
-        drain_send(&mut w, t, SendOp::new(c, 2, NotifyOnSend::One));
-        let (kind, _) = w.violation.clone().expect("second push exceeds the bound");
-        assert_eq!(kind, ViolationKind::Occupancy);
-    }
-
-    #[test]
     fn recv_on_disconnected_empty_channel_reports_disconnect() {
         let mut w = World::new(false);
         let t = w.add_thread("t");
-        let c = w.add_channel("data", 0, 1, None);
+        let c = w.add_channel("data", 0, 1);
         let mut recv = RecvOp::new(c);
         let mut chooser = Fifo;
         let mut got = None;

@@ -1,23 +1,20 @@
 //! The check suite: the fixed roster of model instances `model_tool
 //! check` explores, with smoke and full budgets.
 //!
-//! Three families:
+//! Two families:
 //!
-//! * **Healthy credit configs** — the window × shard grid from
-//!   [`tangram_types::credit::MODEL_WINDOWS`] ×
-//!   [`tangram_types::credit::MODEL_SHARDS`], plus two dead-camera
-//!   configs that force the demux-buffer path. All four properties are
-//!   checked on every schedule: no deadlock, no lost wakeup, data-queue
-//!   occupancy ≤ window, merge order equal to the 1-shard oracle.
-//! * **Channel regressions** — the vendored channel discipline in
-//!   isolation (SPSC and a 3-receiver MPMC). These pin the analysis in
+//! * **Channel proofs** — the vendored channel discipline in isolation
+//!   (SPSC and a 3-receiver MPMC). These pin the analysis in
 //!   `vendor/crossbeam/src/lib.rs`: `notify_one` after `send` is
 //!   sufficient, `notify_all` at last-sender drop is load-bearing.
-//! * **Seeded mutants** — one deliberately broken model per
-//!   [`Mutant`]; the explorer must produce a counter-example of the
-//!   expected [`ViolationKind`](crate::sched::ViolationKind) for
-//!   each, via iterative deepening so
-//!   the printed schedule uses as few preemptions as the fault allows.
+//!   Every schedule must be free of deadlock and lost wakeups and pass
+//!   the model's delivery check.
+//! * **Seeded mutant** — one deliberately broken model per
+//!   non-trivial [`Mutant`]; the explorer must produce a
+//!   counter-example of the expected
+//!   [`ViolationKind`](crate::sched::ViolationKind) for each, via
+//!   iterative deepening so the printed schedule uses as few
+//!   preemptions as the fault allows.
 //!
 //! Budgets are per row and honest: a row that trips its schedule
 //! budget reports `exhaustive = false`, the suite fails, and the CLI
@@ -26,11 +23,9 @@
 //! raises the preemption bounds and budgets for the `--ignored`
 //! exhaustive test and local soak runs.
 
-use tangram_types::credit::{MODEL_SHARDS, MODEL_WINDOWS};
-
 use crate::explorer::{CounterExample, Explorer};
 use crate::mutants::Mutant;
-use crate::protocol::{channel_model, credit_model, ChanConfig, ProtoConfig};
+use crate::protocol::{channel_model, ChanConfig};
 use crate::sched::Model;
 
 /// Smoke mode must explore at least this many distinct schedules in
@@ -62,10 +57,10 @@ impl Mode {
 /// What one suite row concluded.
 #[derive(Debug, Clone)]
 pub enum RowOutcome {
-    /// Healthy model: every explored schedule satisfied all four
-    /// properties.
+    /// Healthy model: every explored schedule satisfied every
+    /// property.
     Proved,
-    /// Healthy model: a property failed — a real protocol bug (or a
+    /// Healthy model: a property failed — a real discipline bug (or a
     /// model regression); always a suite failure.
     Violated(CounterExample),
     /// Mutant caught with the expected violation class.
@@ -188,57 +183,20 @@ fn mutant_row(
 #[must_use]
 pub fn run_suite(mode: Mode) -> SuiteResult {
     // Bounds are sized per row so that every proof row is *exhaustive*
-    // within its budget — a truncated proof fails the suite. Measured
-    // exhaustive counts (release build): the 2-thread rows are a few
-    // hundred to a few thousand schedules even at bound 3; 3 threads
-    // at bound 2 is ~113k; 4 threads at bound 1 is ~40k–420k and at
-    // bound 2 ~3.3M — except the window-1 three-shard row, whose extra
-    // blocking points push bound 2 past 50M schedules, so that row
-    // stays at bound 1 in both modes. Budgets are safety nets above
-    // those counts: model growth that blows them up fails loudly
-    // instead of silently sampling.
-    let (bound_small, bound_large, bound_s3w1, budget): (usize, usize, usize, u64) = match mode {
-        Mode::Smoke => (2, 1, 1, 500_000),
-        Mode::Full => (3, 2, 1, 4_000_000),
+    // within its budget — a truncated proof fails the suite. The
+    // 2-thread SPSC row is a few hundred to a few thousand schedules
+    // even at bound 3; the 4-thread MPMC row grows fastest, so it runs
+    // one bound shallower. Budgets are safety nets above those counts:
+    // model growth that blows them up fails loudly instead of silently
+    // sampling.
+    let (bound_small, bound_large, budget): (usize, usize, u64) = match mode {
+        Mode::Smoke => (2, 1, 500_000),
+        Mode::Full => (3, 2, 4_000_000),
     };
 
     let mut rows = Vec::new();
 
-    // Healthy grid: windows x shards, one camera per shard, two
-    // captures. Single-shard rows get the deeper bound (their state
-    // space is small); multi-shard rows use the wider-but-shallower
-    // bound to stay inside a CI-sized budget.
-    for &shards in &MODEL_SHARDS {
-        for &window in &MODEL_WINDOWS {
-            let cfg = ProtoConfig::live(shards, window, 1, 2);
-            let bound = match shards {
-                1 => bound_small,
-                3 if window == 1 => bound_s3w1,
-                _ => bound_large,
-            };
-            rows.push(healthy_row(cfg.name(), shards + 1, bound, budget, &|rec| {
-                credit_model(cfg, Mutant::None, rec)
-            }));
-        }
-    }
-
-    // Demux coverage: a dead camera forces buffered pulls and buffered
-    // credit returns — the only workload where `next_for`'s buffer path
-    // runs at all.
-    for window in [1_usize, 2] {
-        let cfg = ProtoConfig {
-            shards: 1,
-            window,
-            cams_per_shard: 2,
-            captures_per_cam: 2,
-            dead_cams: 1,
-        };
-        rows.push(healthy_row(cfg.name(), 2, bound_small, budget, &|rec| {
-            credit_model(cfg, Mutant::None, rec)
-        }));
-    }
-
-    // Channel regressions: pin the vendored discipline (see
+    // Channel proofs: pin the vendored discipline (see
     // vendor/crossbeam/src/lib.rs). SPSC exercises notify_one-on-send
     // under re-parking; the 3-receiver MPMC exercises the last-sender
     // notify_all broadcast with multiple parked receivers.
@@ -253,63 +211,11 @@ pub fn run_suite(mode: Mode) -> SuiteResult {
         receivers: 3,
         items: 1,
     };
-    rows.push(healthy_row(
-        mpmc.name(),
-        4,
-        bound_large.max(1),
-        budget,
-        &|rec| channel_model(mpmc, Mutant::None, rec),
-    ));
+    rows.push(healthy_row(mpmc.name(), 4, bound_large, budget, &|rec| {
+        channel_model(mpmc, Mutant::None, rec)
+    }));
 
-    // Seeded mutants: each must die with its documented violation.
-    let leak_cfg = ProtoConfig {
-        shards: 1,
-        window: 1,
-        cams_per_shard: 2,
-        captures_per_cam: 2,
-        dead_cams: 1,
-    };
-    rows.push(mutant_row(
-        format!(
-            "mutant {} ({})",
-            Mutant::DropCreditReturn.label(),
-            leak_cfg.name()
-        ),
-        2,
-        Mutant::DropCreditReturn,
-        bound_small,
-        budget,
-        &|rec| credit_model(leak_cfg, Mutant::DropCreditReturn, rec),
-    ));
-
-    let flood_cfg = ProtoConfig::live(1, 1, 1, 2);
-    rows.push(mutant_row(
-        format!(
-            "mutant {} ({})",
-            Mutant::UnboundedSend.label(),
-            flood_cfg.name()
-        ),
-        2,
-        Mutant::UnboundedSend,
-        bound_small,
-        budget,
-        &|rec| credit_model(flood_cfg, Mutant::UnboundedSend, rec),
-    ));
-
-    let starve_cfg = ProtoConfig::live(1, 1, 1, 2);
-    rows.push(mutant_row(
-        format!(
-            "mutant {} ({})",
-            Mutant::SkipCreditNotify.label(),
-            starve_cfg.name()
-        ),
-        2,
-        Mutant::SkipCreditNotify,
-        bound_small,
-        budget,
-        &|rec| credit_model(starve_cfg, Mutant::SkipCreditNotify, rec),
-    ));
-
+    // Seeded mutant: must die with its documented violation.
     rows.push(mutant_row(
         format!(
             "mutant {} ({})",
@@ -337,8 +243,8 @@ mod tests {
     use crate::explorer::CounterExample;
     use crate::sched::ViolationKind;
 
-    // The suite itself runs once in tests/model_check.rs (it costs
-    // ~20s in a debug build); unit tests here only cover the row
+    // The suite itself runs once in tests/model_check.rs (a few
+    // seconds in a debug build); unit tests here only cover the row
     // bookkeeping.
 
     #[test]

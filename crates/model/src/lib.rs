@@ -1,14 +1,16 @@
 //! `tangram-model` — a hand-rolled, loom-style bounded model checker
-//! for the sharded runtime's credit protocol and the vendored channel
-//! discipline.
+//! for the vendored channel discipline.
 //!
-//! The sharded runtime (`crates/core/src/shard.rs`) claims four
-//! properties that no unit test can establish, because they quantify
-//! over *schedules*, not inputs: the credit protocol never deadlocks,
-//! never loses a wakeup, never lets a data queue grow past
-//! `CREDIT_WINDOW`, and always merges captures in the 1-shard oracle
-//! order. This crate checks those claims the way loom or CHESS would —
-//! but hand-rolled, because the workspace vendors every dependency:
+//! The workspace moves work across threads over the vendored crossbeam
+//! channel in two places: `LiveTangram`'s worker
+//! (`crates/core/src/runtime.rs`) and the sweep pool
+//! (`crates/harness/src/pool.rs`). The channel claims two properties
+//! that no unit test can establish, because they quantify over
+//! *schedules*, not inputs: every sent message is delivered exactly
+//! once, and every parked receiver learns about the last sender's
+//! drop — no deadlock, no lost wakeup. This crate checks those claims
+//! the way loom or CHESS would — but hand-rolled, because the workspace
+//! vendors every dependency:
 //!
 //! * [`sched`] — mock mutexes, condvars and channel state stepped one
 //!   atomic action at a time, with every nondeterministic choice
@@ -17,22 +19,18 @@
 //! * [`channel`] — the vendored crossbeam channel's operations as
 //!   micro-op state machines, preserving the unlock→notify race
 //!   window that makes notification disciplines worth checking;
-//! * [`protocol`] — the extracted model: per-shard producers and the
-//!   demux/merge coordinator mirroring `ShardSet` line for line, plus
-//!   a standalone channel model;
+//! * [`protocol`] — the standalone channel model: one sender, several
+//!   receivers, a delivery check at the end;
 //! * [`explorer`] — stateless DFS over decision vectors with CHESS-
 //!   style preemption bounding and honest truncation reporting;
-//! * [`mutants`] — seeded one-line protocol breakages the explorer
-//!   must catch, each with its documented violation class;
+//! * [`mutants`] — the seeded one-line breakage the explorer must
+//!   catch, with its documented violation class;
 //! * [`check`] — the fixed suite (`model_tool check --smoke` in CI's
 //!   lints job; `--full` from the ignored exhaustive test).
 //!
-//! The model shares its constants with the runtime through
-//! [`tangram_types::credit`], so a window change in one place is a
-//! window change in both. What the model does *not* share is code:
-//! it is an extracted abstraction, and `docs/ARCHITECTURE.md`'s
-//! "Concurrency model checking" section records the correspondence
-//! argument and its limits.
+//! The model is an extracted abstraction, not shared code:
+//! `docs/ARCHITECTURE.md`'s "Concurrency model checking" section
+//! records the correspondence argument and its limits.
 
 pub mod channel;
 pub mod check;

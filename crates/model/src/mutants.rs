@@ -1,35 +1,18 @@
-//! The seeded protocol mutants: deliberately broken variants of the
-//! credit protocol and the channel discipline that the explorer must
-//! catch. Each mutant is one switch point in the extracted model — a
-//! single dropped action, exactly the kind of one-line mistake a
-//! refactor of `crates/core/src/shard.rs` or `vendor/crossbeam` could
-//! introduce — with a documented expected violation. A mutant the
-//! explorer misses is a hole in the checker, and the suite treats it as
-//! a failure.
+//! The seeded mutant: a deliberately broken variant of the channel
+//! discipline that the explorer must catch. It is one switch point in
+//! the extracted model — a single changed action, exactly the kind of
+//! one-line mistake a refactor of `vendor/crossbeam` could introduce —
+//! with a documented expected violation. A mutant the explorer misses
+//! is a hole in the checker, and the suite treats it as a failure.
 
 use crate::sched::ViolationKind;
 
 /// Which (if any) seeded fault a model run carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutant {
-    /// The faithful model: the discipline actually implemented by
-    /// `shard.rs` and the vendored channel.
+    /// The faithful model: the discipline actually implemented by the
+    /// vendored channel.
     None,
-    /// The coordinator skips the credit return for messages it demux-
-    /// buffers for another camera (the easy-to-miss path in
-    /// `ShardSet::next_for`). Each buffered message leaks one credit;
-    /// with a dead camera and a small window the shard starves and the
-    /// run deadlocks.
-    DropCreditReturn,
-    /// The producer sends without taking a credit first (the
-    /// `credits.recv()` in `shard_main` deleted). The data queue grows
-    /// past `CREDIT_WINDOW` and the occupancy bound trips.
-    UnboundedSend,
-    /// The coordinator pushes a returned credit but never notifies the
-    /// channel's condvar. A producer parked waiting for that credit
-    /// sleeps forever next to a non-empty queue — the textbook lost
-    /// wakeup.
-    SkipCreditNotify,
     /// The vendored channel's last-sender drop uses `notify_one`
     /// instead of `notify_all`. With two or more receivers parked at
     /// disconnect, all but one are never told the channel is dead.
@@ -42,9 +25,6 @@ impl Mutant {
     pub fn label(self) -> &'static str {
         match self {
             Mutant::None => "none",
-            Mutant::DropCreditReturn => "drop-credit-return",
-            Mutant::UnboundedSend => "unbounded-send",
-            Mutant::SkipCreditNotify => "skip-credit-notify",
             Mutant::DisconnectNotifyOne => "disconnect-notify-one",
         }
     }
@@ -55,11 +35,7 @@ impl Mutant {
     pub fn expected_violation(self) -> Option<ViolationKind> {
         match self {
             Mutant::None => None,
-            Mutant::DropCreditReturn => Some(ViolationKind::Deadlock),
-            Mutant::UnboundedSend => Some(ViolationKind::Occupancy),
-            Mutant::SkipCreditNotify | Mutant::DisconnectNotifyOne => {
-                Some(ViolationKind::LostWakeup)
-            }
+            Mutant::DisconnectNotifyOne => Some(ViolationKind::LostWakeup),
         }
     }
 
@@ -68,9 +44,6 @@ impl Mutant {
     pub fn describe(self) -> &'static str {
         match self {
             Mutant::None => "faithful model, no seeded fault",
-            Mutant::DropCreditReturn => "coordinator keeps the credit for demux-buffered messages",
-            Mutant::UnboundedSend => "producer sends without taking a credit",
-            Mutant::SkipCreditNotify => "credit return pushes without notifying the condvar",
             Mutant::DisconnectNotifyOne => "last-sender drop notifies one receiver, not all",
         }
     }
@@ -82,13 +55,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique_and_expectations_cover_all_mutants() {
-        let all = [
-            Mutant::None,
-            Mutant::DropCreditReturn,
-            Mutant::UnboundedSend,
-            Mutant::SkipCreditNotify,
-            Mutant::DisconnectNotifyOne,
-        ];
+        let all = [Mutant::None, Mutant::DisconnectNotifyOne];
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(a.label(), b.label());

@@ -1,128 +1,19 @@
-//! The extracted model of the shard credit protocol, plus a standalone
-//! model of the vendored channel.
+//! The standalone model of the vendored channel discipline.
 //!
-//! # The credit protocol, as implemented
-//!
-//! `crates/core/src/shard.rs` runs one producer thread per shard and a
-//! coordinator (the engine thread). Per shard there are two vendored
-//! channels: a **data** channel (shard → coordinator, carrying
-//! captures) and a **credit** channel (coordinator → shard, carrying
-//! permission tokens). `ShardSet::spawn` primes each credit channel
-//! with `CREDIT_WINDOW` tokens; `shard_main` takes one credit before
-//! every capture it sends; `ShardSet::next_for` returns exactly one
-//! credit per message it pulls — *including* messages it demux-buffers
-//! for a camera other than the one demanded. Shutdown drops the credit
-//! senders first (producers observe disconnect and exit), then the
-//! data receivers.
-//!
-//! The model mirrors that structure one atomic action at a time:
-//!
-//! * `Producer` — per shard: `recv(credit) → send(data)` per capture
-//!   in timestamp order, then handle drops. Credit disconnect is the
-//!   shutdown signal, exactly as in `shard_main`.
-//! * `Coordinator` — demands captures in the 1-shard oracle order,
-//!   pulls from the owning shard's data channel, returns one credit
-//!   per pulled message, demux-buffers mismatches, and verifies every
-//!   consumed capture against the oracle order (the merge-order
-//!   invariant, checked *inline* so the first divergent consume is the
-//!   counter-example).
-//!
-//! Messages encode `(camera, sequence)` as `camera * SEQ_BASE + seq`,
-//! so the merge-order check is a single equality.
-//!
-//! # Dead cameras
-//!
-//! In a healthy run the coordinator's per-shard demand order equals
-//! the shard's production order, so the demux buffer is never touched.
-//! [`ProtoConfig::dead_cams`] marks the trailing cameras as *dead*:
-//! produced but never demanded (a deactivated source whose shard is
-//! still capturing). Dead-camera captures are pulled while draining the
-//! data channel and land in the demux buffer — the only path that
-//! exercises buffered credit returns, and the workload that exposes the
-//! [`Mutant::DropCreditReturn`] leak.
-//!
-//! # The standalone channel model
-//!
-//! [`channel_model`] checks the vendored channel discipline in
-//! isolation: one sender pushing [`ChanConfig::items`] messages then
-//! dropping, [`ChanConfig::receivers`] receivers looping `recv` until
-//! disconnect. The final check demands every message delivered exactly
-//! once and every receiver told about the disconnect — which is
-//! precisely what `notify_one` after `send` plus `notify_all` at
-//! last-sender drop guarantees, and what [`Mutant::DisconnectNotifyOne`]
-//! breaks.
+//! [`channel_model`] checks the vendored channel in isolation: one
+//! sender pushing [`ChanConfig::items`] messages then dropping,
+//! [`ChanConfig::receivers`] receivers looping `recv` until disconnect.
+//! The final check demands every message delivered exactly once and
+//! every receiver told about the disconnect — which is precisely what
+//! `notify_one` after `send` plus `notify_all` at last-sender drop
+//! guarantees, and what [`Mutant::DisconnectNotifyOne`] breaks. The
+//! discipline guards the channels that carry work across threads in
+//! the workspace: `LiveTangram`'s worker (`crates/core/src/runtime.rs`)
+//! and the sweep pool (`crates/harness/src/pool.rs`).
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
-
-use crate::channel::{
-    DropReceiverOp, DropSenderOp, NotifyOnDisconnect, NotifyOnSend, Recv, RecvOp, SendOp,
-};
+use crate::channel::{DropReceiverOp, DropSenderOp, NotifyOnDisconnect, Recv, RecvOp, SendOp};
 use crate::mutants::Mutant;
 use crate::sched::{ChanId, Chooser, Model, ModelThread, ThreadId, ViolationKind, World};
-
-/// Message encoding base: `value = camera * SEQ_BASE + seq`.
-pub const SEQ_BASE: u64 = 1_000;
-
-/// Shape of one credit-protocol model instance. Intentionally tiny —
-/// the explorer's state space is exponential in total steps, and the
-/// protocol's interesting races already show up at two or three
-/// captures per camera.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProtoConfig {
-    /// Producer threads (each with its own data + credit channel).
-    pub shards: usize,
-    /// Credit window primed into each credit channel; also the
-    /// occupancy bound asserted on each data channel.
-    pub window: usize,
-    /// Cameras per shard (camera ids are contiguous per shard).
-    pub cams_per_shard: usize,
-    /// Captures produced per camera.
-    pub captures_per_cam: usize,
-    /// Trailing cameras (global numbering) that are produced but never
-    /// demanded — the demux-buffer workload. Must be < total cameras.
-    pub dead_cams: usize,
-}
-
-impl ProtoConfig {
-    /// A healthy config with every camera live.
-    #[must_use]
-    pub fn live(shards: usize, window: usize, cams_per_shard: usize, captures: usize) -> Self {
-        ProtoConfig {
-            shards,
-            window,
-            cams_per_shard,
-            captures_per_cam: captures,
-            dead_cams: 0,
-        }
-    }
-
-    /// Total cameras across all shards.
-    #[must_use]
-    pub fn total_cams(&self) -> usize {
-        self.shards * self.cams_per_shard
-    }
-
-    /// Captures the coordinator actually demands (live cameras only).
-    #[must_use]
-    pub fn live_captures(&self) -> usize {
-        (self.total_cams() - self.dead_cams) * self.captures_per_cam
-    }
-
-    /// Short display name (`s2 w1 c1 k2` style, `+1 dead` if any).
-    #[must_use]
-    pub fn name(&self) -> String {
-        let base = format!(
-            "credit s{} w{} c{} k{}",
-            self.shards, self.window, self.cams_per_shard, self.captures_per_cam
-        );
-        if self.dead_cams > 0 {
-            format!("{base} +{} dead", self.dead_cams)
-        } else {
-            base
-        }
-    }
-}
 
 /// Shape of one standalone channel model instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,383 +29,6 @@ impl ChanConfig {
     #[must_use]
     pub fn name(&self) -> String {
         format!("channel r{} n{}", self.receivers, self.items)
-    }
-}
-
-/// Per-shard producer: `shard_main`'s loop as a resumable state
-/// machine.
-struct Producer {
-    credit: ChanId,
-    data: ChanId,
-    /// Captures in production (timestamp) order, already encoded.
-    items: Vec<u64>,
-    next: usize,
-    /// [`Mutant::UnboundedSend`]: skip the credit take entirely.
-    skip_credit: bool,
-    state: PState,
-}
-
-enum PState {
-    Idle,
-    RecvCredit(RecvOp),
-    Send(SendOp),
-    DropTx(DropSenderOp),
-    DropCreditRx(DropReceiverOp),
-    Finished,
-}
-
-impl ModelThread for Producer {
-    fn step(&mut self, world: &mut World, chooser: &mut dyn Chooser, tid: ThreadId) {
-        loop {
-            match &mut self.state {
-                PState::Idle => {
-                    // Pure control transition — pick the next op, spend
-                    // no step, loop to execute its first action.
-                    if self.next == self.items.len() {
-                        self.state =
-                            PState::DropTx(DropSenderOp::new(self.data, NotifyOnDisconnect::All));
-                    } else if self.skip_credit {
-                        let value = self.items[self.next];
-                        self.state = PState::Send(SendOp::new(self.data, value, NotifyOnSend::One));
-                    } else {
-                        self.state = PState::RecvCredit(RecvOp::new(self.credit));
-                    }
-                }
-                PState::RecvCredit(op) => {
-                    match op.step(world, chooser, tid) {
-                        None => return,
-                        Some(Recv::Msg(_)) => {
-                            let value = self.items[self.next];
-                            self.state =
-                                PState::Send(SendOp::new(self.data, value, NotifyOnSend::One));
-                        }
-                        Some(Recv::Disconnected) => {
-                            // Shutdown signal: the coordinator dropped
-                            // the credit sender. Exit without sending
-                            // the remaining captures — `shard_main`'s
-                            // `Err(_) => break`.
-                            world.bump("producer-shutdown");
-                            self.state = PState::DropTx(DropSenderOp::new(
-                                self.data,
-                                NotifyOnDisconnect::All,
-                            ));
-                        }
-                    }
-                    return;
-                }
-                PState::Send(op) => {
-                    if op.step(world, chooser, tid) {
-                        self.next += 1;
-                        world.bump("produced");
-                        self.state = PState::Idle;
-                    }
-                    return;
-                }
-                PState::DropTx(op) => {
-                    if op.step(world, chooser, tid) {
-                        self.state = PState::DropCreditRx(DropReceiverOp::new(self.credit));
-                    }
-                    return;
-                }
-                PState::DropCreditRx(op) => {
-                    if op.step(world, chooser, tid) {
-                        self.state = PState::Finished;
-                        world.set_done(tid);
-                    }
-                    return;
-                }
-                PState::Finished => return,
-            }
-        }
-    }
-}
-
-/// The engine side: `ShardSet::next_for` demand loop plus `shutdown`.
-struct Coordinator {
-    /// Per-shard data channels, indexed by shard.
-    data: Vec<ChanId>,
-    /// Per-shard credit channels, indexed by shard.
-    credit: Vec<ChanId>,
-    cams_per_shard: usize,
-    /// Demanded captures in 1-shard oracle order, already encoded.
-    demand: Vec<u64>,
-    next: usize,
-    /// Demux buffers: camera → captures pulled for it while demanding
-    /// another camera. Thread-local, so touching it costs no step.
-    buffers: BTreeMap<u64, VecDeque<u64>>,
-    /// [`Mutant::DropCreditReturn`]: keep the credit for buffered pulls.
-    drop_buffered_credit: bool,
-    /// [`Mutant::SkipCreditNotify`] selects [`NotifyOnSend::Skip`].
-    credit_notify: NotifyOnSend,
-    state: CState,
-}
-
-enum CState {
-    NextDemand,
-    Recv(RecvOp),
-    /// Returning the credit for `pulled`, then demux it.
-    ReturnCredit(SendOp, u64),
-    DropCredit(usize, DropSenderOp),
-    DropData(usize, DropReceiverOp),
-    Finished,
-}
-
-impl Coordinator {
-    fn shard_of(&self, cam: u64) -> usize {
-        (cam as usize) / self.cams_per_shard
-    }
-
-    /// Demux one pulled capture: consume it if it matches the current
-    /// demand, buffer it otherwise. Pure (thread-local) bookkeeping.
-    fn demux(&mut self, world: &mut World, tid: ThreadId, pulled: u64) {
-        let wanted = self.demand[self.next];
-        if pulled == wanted {
-            if world.is_recording() {
-                world.record(tid, &format!("consumes {pulled} (in oracle order)"));
-            }
-            world.bump("consumed");
-            self.next += 1;
-        } else if pulled / SEQ_BASE == wanted / SEQ_BASE {
-            // Same camera, wrong sequence: the shard's FIFO was
-            // violated — a straight merge-order failure.
-            world.fail(
-                ViolationKind::MergeOrder,
-                format!("demanded {wanted} but consumed {pulled} from the same camera"),
-            );
-        } else {
-            if world.is_recording() {
-                world.record(tid, &format!("buffers {pulled} (demanding {wanted})"));
-            }
-            world.bump("buffered");
-            self.buffers
-                .entry(pulled / SEQ_BASE)
-                .or_default()
-                .push_back(pulled);
-        }
-    }
-}
-
-impl ModelThread for Coordinator {
-    fn step(&mut self, world: &mut World, chooser: &mut dyn Chooser, tid: ThreadId) {
-        loop {
-            match &mut self.state {
-                CState::NextDemand => {
-                    if self.next == self.demand.len() {
-                        // `ShardSet::shutdown`: credit senders first.
-                        self.state = CState::DropCredit(
-                            0,
-                            DropSenderOp::new(self.credit[0], NotifyOnDisconnect::All),
-                        );
-                        continue;
-                    }
-                    let wanted = self.demand[self.next];
-                    let cam = wanted / SEQ_BASE;
-                    if let Some(buf) = self.buffers.get_mut(&cam) {
-                        if let Some(pulled) = buf.pop_front() {
-                            // Buffered hit: consume without touching a
-                            // channel (`next_for`'s fast path). The
-                            // credit was returned (or mutant-leaked)
-                            // when the message was pulled.
-                            if pulled == wanted {
-                                if world.is_recording() {
-                                    world
-                                        .record(tid, &format!("consumes {pulled} from the buffer"));
-                                }
-                                world.bump("consumed");
-                                self.next += 1;
-                            } else {
-                                world.fail(
-                                    ViolationKind::MergeOrder,
-                                    format!("demanded {wanted} but buffered head is {pulled}"),
-                                );
-                                return;
-                            }
-                            continue;
-                        }
-                    }
-                    let shard = self.shard_of(cam);
-                    self.state = CState::Recv(RecvOp::new(self.data[shard]));
-                }
-                CState::Recv(op) => {
-                    match op.step(world, chooser, tid) {
-                        None => return,
-                        Some(Recv::Msg(pulled)) => {
-                            let shard = self.shard_of(pulled / SEQ_BASE);
-                            let wanted = self.demand[self.next];
-                            let buffered = pulled != wanted;
-                            if self.drop_buffered_credit && buffered {
-                                // Mutant: the demux-buffer path forgets
-                                // the credit. The message itself is
-                                // still processed.
-                                if world.is_recording() {
-                                    world.record(
-                                        tid,
-                                        &format!("LEAKS the credit for {pulled} (mutant)"),
-                                    );
-                                }
-                                self.demux(world, tid, pulled);
-                                self.state = CState::NextDemand;
-                            } else {
-                                self.state = CState::ReturnCredit(
-                                    SendOp::new(self.credit[shard], 1, self.credit_notify),
-                                    pulled,
-                                );
-                            }
-                        }
-                        Some(Recv::Disconnected) => {
-                            world.fail(
-                                ViolationKind::Protocol,
-                                format!(
-                                    "data channel disconnected with {} demand(s) unmet",
-                                    self.demand.len() - self.next
-                                ),
-                            );
-                            return;
-                        }
-                    }
-                    return;
-                }
-                CState::ReturnCredit(op, pulled) => {
-                    let pulled = *pulled;
-                    if op.step(world, chooser, tid) {
-                        self.demux(world, tid, pulled);
-                        self.state = CState::NextDemand;
-                    }
-                    return;
-                }
-                CState::DropCredit(i, op) => {
-                    let i = *i;
-                    if op.step(world, chooser, tid) {
-                        if i + 1 < self.credit.len() {
-                            self.state = CState::DropCredit(
-                                i + 1,
-                                DropSenderOp::new(self.credit[i + 1], NotifyOnDisconnect::All),
-                            );
-                        } else {
-                            self.state = CState::DropData(0, DropReceiverOp::new(self.data[0]));
-                        }
-                    }
-                    return;
-                }
-                CState::DropData(i, op) => {
-                    let i = *i;
-                    if op.step(world, chooser, tid) {
-                        if i + 1 < self.data.len() {
-                            self.state =
-                                CState::DropData(i + 1, DropReceiverOp::new(self.data[i + 1]));
-                        } else {
-                            self.state = CState::Finished;
-                            world.set_done(tid);
-                        }
-                    }
-                    return;
-                }
-                CState::Finished => return,
-            }
-        }
-    }
-}
-
-/// Builds a credit-protocol model instance, optionally carrying a
-/// seeded [`Mutant`].
-///
-/// # Panics
-///
-/// Panics on degenerate configs (zero shards/cameras/captures, window
-/// of zero, or every camera dead).
-#[must_use]
-pub fn credit_model(cfg: ProtoConfig, mutant: Mutant, recording: bool) -> Model {
-    assert!(cfg.shards > 0 && cfg.cams_per_shard > 0 && cfg.captures_per_cam > 0);
-    assert!(cfg.window > 0, "a zero window can never move a capture");
-    assert!(cfg.dead_cams < cfg.total_cams(), "at least one live camera");
-    assert!(
-        u64::try_from(cfg.captures_per_cam).is_ok_and(|k| k < SEQ_BASE),
-        "sequence numbers must fit under SEQ_BASE"
-    );
-
-    let mut world = World::new(recording);
-    let mut data = Vec::new();
-    let mut credit = Vec::new();
-    for shard in 0..cfg.shards {
-        // Data: 1 producer sender, 1 coordinator receiver, occupancy
-        // bounded by the window (the invariant under check).
-        data.push(world.add_channel(&format!("data[{shard}]"), 1, 1, Some(cfg.window)));
-        // Credit: 1 coordinator sender, 1 producer receiver, primed
-        // with `window` tokens exactly as `ShardSet::spawn` does.
-        let c = world.add_channel(&format!("credit[{shard}]"), 1, 1, None);
-        for _ in 0..cfg.window {
-            world.chan_mut(c).queue.push_back(1);
-        }
-        credit.push(c);
-    }
-
-    let dead_floor = (cfg.total_cams() - cfg.dead_cams) as u64;
-    let mut threads: Vec<Box<dyn ModelThread>> = Vec::new();
-    let coordinator = world.add_thread("coordinator");
-    for shard in 0..cfg.shards {
-        world.add_thread(&format!("shard[{shard}]"));
-    }
-    debug_assert_eq!(coordinator, 0, "coordinator owns thread slot 0");
-
-    // Demand list: the 1-shard oracle order — sequence-major over live
-    // cameras, mirroring the engine's timestamp-ordered event loop.
-    let mut demand = Vec::new();
-    for seq in 0..cfg.captures_per_cam as u64 {
-        for cam in 0..dead_floor {
-            demand.push(cam * SEQ_BASE + seq);
-        }
-    }
-    threads.push(Box::new(Coordinator {
-        data: data.clone(),
-        credit: credit.clone(),
-        cams_per_shard: cfg.cams_per_shard,
-        demand,
-        next: 0,
-        buffers: BTreeMap::new(),
-        drop_buffered_credit: mutant == Mutant::DropCreditReturn,
-        credit_notify: if mutant == Mutant::SkipCreditNotify {
-            NotifyOnSend::Skip
-        } else {
-            NotifyOnSend::One
-        },
-        state: CState::NextDemand,
-    }));
-
-    // Production order per shard: sequence-major over its own cameras —
-    // the same relative order the demand list visits them in, so a
-    // healthy run with no dead cameras never touches the demux buffer.
-    for shard in 0..cfg.shards {
-        let mut items = Vec::new();
-        for seq in 0..cfg.captures_per_cam as u64 {
-            for k in 0..cfg.cams_per_shard as u64 {
-                let cam = (shard * cfg.cams_per_shard) as u64 + k;
-                items.push(cam * SEQ_BASE + seq);
-            }
-        }
-        threads.push(Box::new(Producer {
-            credit: credit[shard],
-            data: data[shard],
-            items,
-            next: 0,
-            skip_credit: mutant == Mutant::UnboundedSend,
-            state: PState::Idle,
-        }));
-    }
-
-    let live = cfg.live_captures() as u64;
-    Model {
-        world,
-        threads,
-        final_check: Some(Box::new(move |world: &World| {
-            let consumed = world.counter("consumed");
-            if consumed != live {
-                return Some((
-                    ViolationKind::Protocol,
-                    format!("consumed {consumed} captures, expected {live}"),
-                ));
-            }
-            None
-        })),
     }
 }
 
@@ -581,7 +95,7 @@ impl ModelThread for ChanSender {
                         self.state = SState::DropTx(DropSenderOp::new(self.chan, self.disconnect));
                     } else {
                         let value = self.remaining as u64;
-                        self.state = SState::Send(SendOp::new(self.chan, value, NotifyOnSend::One));
+                        self.state = SState::Send(SendOp::new(self.chan, value));
                     }
                 }
                 SState::Send(op) => {
@@ -605,14 +119,14 @@ impl ModelThread for ChanSender {
 }
 
 /// Builds a standalone vendored-channel model: one sender, `receivers`
-/// looping receivers, `items` messages. Only
-/// [`Mutant::DisconnectNotifyOne`] applies; every other mutant leaves
-/// the channel discipline faithful.
+/// looping receivers, `items` messages, either faithful
+/// ([`Mutant::None`]) or with the seeded
+/// [`Mutant::DisconnectNotifyOne`] fault.
 #[must_use]
 pub fn channel_model(cfg: ChanConfig, mutant: Mutant, recording: bool) -> Model {
     assert!(cfg.receivers > 0);
     let mut world = World::new(recording);
-    let chan = world.add_channel("chan", 1, cfg.receivers, None);
+    let chan = world.add_channel("chan", 1, cfg.receivers);
     let mut threads: Vec<Box<dyn ModelThread>> = Vec::new();
     let sender = world.add_thread("sender");
     debug_assert_eq!(sender, 0);
@@ -665,33 +179,15 @@ mod tests {
 
     #[test]
     fn config_names_and_counts() {
-        let cfg = ProtoConfig {
-            shards: 2,
-            window: 1,
-            cams_per_shard: 2,
-            captures_per_cam: 2,
-            dead_cams: 1,
+        let cfg = ChanConfig {
+            receivers: 3,
+            items: 1,
         };
-        assert_eq!(cfg.total_cams(), 4);
-        assert_eq!(cfg.live_captures(), 6);
-        assert_eq!(cfg.name(), "credit s2 w1 c2 k2 +1 dead");
-        assert_eq!(
-            ChanConfig {
-                receivers: 3,
-                items: 1
-            }
-            .name(),
-            "channel r3 n1"
-        );
-    }
-
-    #[test]
-    fn credit_model_primes_the_window_and_names_threads() {
-        let model = credit_model(ProtoConfig::live(2, 3, 1, 2), Mutant::None, false);
-        assert_eq!(model.threads.len(), 3, "coordinator + 2 producers");
-        assert_eq!(model.world.chan(1).queue.len(), 3, "credit[0] primed");
-        assert_eq!(model.world.chan(3).queue.len(), 3, "credit[1] primed");
-        assert_eq!(model.world.name(0), "coordinator");
-        assert_eq!(model.world.name(2), "shard[1]");
+        assert_eq!(cfg.name(), "channel r3 n1");
+        let model = channel_model(cfg, Mutant::None, false);
+        assert_eq!(model.threads.len(), 4, "sender + 3 receivers");
+        assert_eq!(model.world.name(0), "sender");
+        assert_eq!(model.world.name(3), "recv[2]");
+        assert_eq!(model.world.chan(0).receivers, 3);
     }
 }

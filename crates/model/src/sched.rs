@@ -61,14 +61,8 @@ pub enum ViolationKind {
     /// A thread is parked on a condvar whose wake-up predicate already
     /// holds: a notification was dropped or mis-targeted.
     LostWakeup,
-    /// A bounded channel's queue exceeded its occupancy bound
-    /// (`CREDIT_WINDOW` for the shard data channels).
-    Occupancy,
-    /// The coordinator consumed captures out of the 1-shard oracle
-    /// order.
-    MergeOrder,
-    /// A protocol-level assertion failed (a shard died early, a step
-    /// budget blew, a final count came out wrong).
+    /// A protocol-level assertion failed (a step budget blew, a final
+    /// count came out wrong).
     Protocol,
 }
 
@@ -79,8 +73,6 @@ impl ViolationKind {
         match self {
             ViolationKind::Deadlock => "deadlock",
             ViolationKind::LostWakeup => "lost wakeup",
-            ViolationKind::Occupancy => "occupancy bound exceeded",
-            ViolationKind::MergeOrder => "merge order violated",
             ViolationKind::Protocol => "protocol assertion failed",
         }
     }
@@ -112,7 +104,7 @@ struct CondvarState {
 /// `vendor/crossbeam`'s `State`/`Shared`.
 #[derive(Debug)]
 pub struct ChanState {
-    /// Diagnostic name (`data[0]`, `credit[1]`, …).
+    /// Diagnostic name (`chan`, …).
     pub label: String,
     /// Guards `queue`, `senders` and `receivers`.
     pub mutex: MutexId,
@@ -124,9 +116,6 @@ pub struct ChanState {
     pub senders: usize,
     /// Live receiver handles.
     pub receivers: usize,
-    /// Occupancy invariant: `queue.len()` must never exceed this
-    /// (`None` = unbounded, no check).
-    pub bound: Option<usize>,
 }
 
 /// The modelled shared state: sync primitives, channels, run states and
@@ -242,13 +231,7 @@ impl World {
     }
 
     /// Allocates a channel with its own mutex and condvar.
-    pub fn add_channel(
-        &mut self,
-        label: &str,
-        senders: usize,
-        receivers: usize,
-        bound: Option<usize>,
-    ) -> ChanId {
+    pub fn add_channel(&mut self, label: &str, senders: usize, receivers: usize) -> ChanId {
         let mutex = self.add_mutex();
         let ready = self.add_condvar();
         self.channels.push(ChanState {
@@ -258,7 +241,6 @@ impl World {
             queue: VecDeque::new(),
             senders,
             receivers,
-            bound,
         });
         self.channels.len() - 1
     }

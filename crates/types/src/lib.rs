@@ -3,9 +3,8 @@
 //! This crate deliberately contains no behaviour beyond plain data types and
 //! their arithmetic: pixel-space [`geometry`], id newtypes ([`ids`]),
 //! simulated [`time`], measurement [`units`], the patch/canvas/batch
-//! [`patch`] model that flows from edge cameras to the cloud scheduler,
-//! and the shard [`credit`] protocol's shared constants (one vocabulary
-//! for the runtime and its model checker).
+//! and the patch/canvas/batch [`patch`] model that flows from edge
+//! cameras to the cloud scheduler.
 //!
 //! # Example
 //!
@@ -22,7 +21,6 @@
 //! assert!(deadline > generated);
 //! ```
 
-pub mod credit;
 pub mod error;
 pub mod geometry;
 pub mod ids;

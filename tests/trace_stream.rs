@@ -53,40 +53,12 @@ fn capture_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// Sharding the producer must not move a single byte of the golden
-/// trace: the event stream — hash chain included — is identical at any
-/// shard count. The overload cell is a streaming scenario (sharding
-/// engages); the smoke cell is trace replay (closed-loop cameras stay
-/// inline), so both the sharded path and its fallback are covered.
-#[test]
-fn capture_is_byte_identical_across_shard_counts() {
-    for which in ["smoke", "overload"] {
-        let (oracle_report, oracle) = capture(which, 2);
-        for shards in [2, 8] {
-            let mut grid = golden_trace_grid(which, 42).expect("known golden cell");
-            grid.shards = shards;
-            let mut outcomes = run_grid_full(&grid, 2);
-            let outcome = outcomes.pop().expect("one cell");
-            let trace = outcome.trace.expect("golden grids opt into capture");
-            assert_eq!(
-                trace.to_jsonl(),
-                oracle.to_jsonl(),
-                "{which}: {shards} shards diverged from the 1-shard golden trace"
-            );
-            assert_eq!(
-                outcome.report.events_processed, oracle_report.events_processed,
-                "{which}: event count must not depend on shard count"
-            );
-        }
-    }
-}
-
 /// A faulted run's golden trace holds the same guarantee: with a
 /// brownout window injected into the overload cell, the captured JSONL
 /// — `fault.window` record and hash chain included — is byte-identical
-/// at any shard count, and the chain still verifies.
+/// at any worker count, and the chain still verifies.
 #[test]
-fn faulted_capture_is_byte_identical_across_shard_counts() {
+fn faulted_capture_is_byte_identical_across_worker_counts() {
     use tangram_core::{FaultKind, FaultSpec};
     let faulted_grid = || {
         let mut grid = golden_trace_grid("overload", 42).expect("known golden cell");
@@ -97,10 +69,8 @@ fn faulted_capture_is_byte_identical_across_shard_counts() {
         }];
         grid
     };
-    let capture_at = |shards: usize| -> TraceLog {
-        let mut grid = faulted_grid();
-        grid.shards = shards;
-        let mut outcomes = run_grid_full(&grid, 2);
+    let capture_at = |workers: usize| -> TraceLog {
+        let mut outcomes = run_grid_full(&faulted_grid(), workers);
         let outcome = outcomes.pop().expect("one cell");
         outcome.trace.expect("golden grids opt into capture")
     };
@@ -113,11 +83,11 @@ fn faulted_capture_is_byte_identical_across_shard_counts() {
         )),
         "the golden trace must record the brownout window"
     );
-    for shards in [2, 8] {
+    for workers in [2, 4] {
         assert_eq!(
-            capture_at(shards).to_jsonl(),
+            capture_at(workers).to_jsonl(),
             oracle.to_jsonl(),
-            "{shards} shards diverged from the 1-shard faulted golden trace"
+            "{workers} workers diverged from the sequential faulted golden trace"
         );
     }
 }
