@@ -26,7 +26,10 @@ fn main() {
     grid.workloads = WorkloadSpec::per_scene(&scenes, frames, TraceKind::Proxy);
 
     let report = run_grid(&grid, opts.workers());
-    opts.maybe_write(&report);
+    if let Err(err) = opts.maybe_write(&report) {
+        eprintln!("{err}");
+        std::process::exit(1);
+    }
 
     println!("== Ablation: slack multiplier k (T_slack = µ + k·σ), SLO = 1 s, 40 Mbps ==\n");
     let mut table = TextTable::new([

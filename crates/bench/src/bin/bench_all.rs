@@ -60,7 +60,10 @@ fn main() {
     let started = Instant::now();
     let report = run_grid(&grid, workers);
     let elapsed = started.elapsed();
-    opts.maybe_write(&report);
+    if let Err(err) = opts.maybe_write(&report) {
+        eprintln!("{err}");
+        std::process::exit(1);
+    }
 
     let mut table = TextTable::new([
         "cell", "policy", "bw", "SLO", "patches", "viol %", "cost $", "p99 (s)", "pps",

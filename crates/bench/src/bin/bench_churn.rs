@@ -33,7 +33,10 @@ fn main() {
     );
 
     let report = run_grid(&grid, workers);
-    opts.maybe_write(&report);
+    if let Err(err) = opts.maybe_write(&report) {
+        eprintln!("{err}");
+        std::process::exit(1);
+    }
 
     let mut table = TextTable::new([
         "cell", "policy", "bw", "frames", "patches", "viol %", "cost $", "p99 (s)", "pps",

@@ -52,7 +52,10 @@ fn main() {
     );
 
     let report = run_grid(&grid, workers);
-    opts.maybe_write(&report);
+    if let Err(err) = opts.maybe_write(&report) {
+        eprintln!("{err}");
+        std::process::exit(1);
+    }
 
     // The weighted-share-vs-offered-load table: one row per ramp point,
     // gold and best-effort admitted shares against the weight targets.

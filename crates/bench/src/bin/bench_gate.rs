@@ -2,17 +2,17 @@
 //! checked-in baseline.
 //!
 //! ```text
-//! bench_gate <baseline.json> <candidate.json> [--max-regression PCT]
+//! bench_gate <baseline.json> <candidate.json>
 //! bench_gate --trace <baseline.jsonl> <candidate.jsonl>
 //! ```
 //!
 //! Exit status 0 when the candidate is acceptable, 1 with one line per
-//! violation otherwise (2 on usage/IO errors). Correctness metrics
-//! (patches, batches, violations, SLO attainment, cost, bytes) must
-//! match the baseline exactly — the simulator is deterministic, so any
-//! drift is a real behavioural change: refresh the baseline deliberately
-//! if it is intended. Throughput may drop (and p99 rise) by at most
-//! `--max-regression` percent, default 20.
+//! violation otherwise, 2 on usage/IO/parse errors or a grid report
+//! paired with a counts report. A grid report (`cells`) must match its
+//! baseline's correctness metrics exactly (the simulator is
+//! deterministic, so any drift is a real behavioural change), and its
+//! throughput may drop (and p99 rise) by at most 20%. A counts report
+//! (`counts`) must match every `counts` leaf; its `timings` are ignored.
 //!
 //! `--trace` switches to event-level diffing of two runtime traces
 //! (`tangram_trace` JSONL, captured via `trace_tool capture`): both
@@ -20,12 +20,25 @@
 //! sequence number and event kind — a scalar BENCH drift tells you
 //! *that* behaviour changed, the trace diff tells you *where*.
 
-use tangram_harness::{gate, BenchReport, GateConfig};
+use tangram_harness::json::Json;
+use tangram_harness::{counts_gate, gate, BenchReport, CountsReport};
 use tangram_trace::TraceLog;
 
-fn load(path: &str) -> Result<BenchReport, String> {
+/// A loaded `BENCH_*.json`, of either kind.
+enum Bench {
+    Grid(Box<BenchReport>),
+    Counts(CountsReport),
+}
+
+fn load(path: &str) -> Result<Bench, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let bench = if doc.get("counts").is_some() {
+        CountsReport::from_json(&text).map(Bench::Counts)
+    } else {
+        BenchReport::from_json(&text).map(|r| Bench::Grid(Box::new(r)))
+    };
+    bench.map_err(|e| format!("{path}: {e}"))
 }
 
 fn load_trace(path: &str) -> TraceLog {
@@ -89,26 +102,8 @@ fn main() {
             }
         }
     }
-    let mut config = GateConfig::default();
-    let mut positional: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--max-regression" {
-            match args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-                Some(pct) if pct >= 0.0 => config.max_perf_regression = pct / 100.0,
-                _ => {
-                    eprintln!("--max-regression needs a non-negative percentage");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else {
-            positional.push(&args[i]);
-            i += 1;
-        }
-    }
-    let [baseline_path, candidate_path] = positional[..] else {
-        eprintln!("usage: bench_gate <baseline.json> <candidate.json> [--max-regression PCT]");
+    let [baseline_path, candidate_path] = &args[..] else {
+        eprintln!("usage: bench_gate <baseline.json> <candidate.json>");
         std::process::exit(2);
     };
 
@@ -122,14 +117,25 @@ fn main() {
         }
     };
 
-    let violations = gate(&baseline, &candidate, &config);
+    let (violations, summary) = match (&baseline, &candidate) {
+        (Bench::Grid(b), Bench::Grid(c)) => (
+            gate(b, c),
+            format!(
+                "{} cells match (correctness exact, perf within 20%)",
+                c.cells.len()
+            ),
+        ),
+        (Bench::Counts(b), Bench::Counts(c)) => (
+            counts_gate(b, c),
+            "counts match (timings never gated)".to_string(),
+        ),
+        _ => {
+            eprintln!("bench_gate: one file has `cells`, the other `counts`: not comparable");
+            std::process::exit(2);
+        }
+    };
     if violations.is_empty() {
-        println!(
-            "bench_gate: OK — {} cells match '{}' (correctness exact, perf within {:.0}%)",
-            candidate.cells.len(),
-            baseline_path,
-            config.max_perf_regression * 100.0
-        );
+        println!("bench_gate: OK — {summary} against '{baseline_path}'");
     } else {
         eprintln!(
             "bench_gate: {} violation(s) against '{baseline_path}':",
@@ -139,7 +145,8 @@ fn main() {
             eprintln!("  - {v}");
         }
         eprintln!(
-            "\nIf this change is intended, refresh the baseline:\n  cargo run --release --bin bench_all -- --smoke --out baselines"
+            "\nIf this change is intended, refresh the baseline (see the \
+             baseline-refresh procedure in docs/EXPERIMENTS.md)."
         );
         std::process::exit(1);
     }

@@ -8,19 +8,19 @@
 //! cold-start squeezes — each declared in TOML, validated at load time,
 //! and injected deterministically (see `docs/ARCHITECTURE.md`).
 //!
-//! The emitted JSON splits into two kinds of fields:
+//! The emitted JSON is a harness [`CountsReport`] with two kinds of
+//! fields:
 //!
 //! * **counts** (per-scenario frames, muted frames, patches, batches,
 //!   violations, dropped arrivals, events, makespan) — deterministic,
-//!   byte stable, gated by CI against `baselines/BENCH_scenarios.json`;
+//!   byte stable, gated by `bench_gate` against
+//!   `baselines/BENCH_scenarios.json`;
 //! * **timings** (per-scenario `wall_ms`) — machine-dependent, recorded
 //!   for humans, **never** gated.
 //!
-//! Flags: the usual [`ExpOpts`] set plus `--smoke` (recorded as the
-//! report's `mode`; runs are deterministic in the scenario files alone,
-//! so both modes gate the same counts), `--dir PATH` (scenario directory
-//! override) and `--gate PATH` (compare this run's counts against a
-//! baseline).
+//! Flags: the usual [`ExpOpts`] set plus `--dir PATH` (scenario
+//! directory override). Runs are deterministic in the scenario files
+//! alone, so there is no smoke mode.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,7 +29,7 @@ use std::time::Instant;
 use tangram_bench::{ExpOpts, TextTable};
 use tangram_core::report::RunReport;
 use tangram_harness::json::Json;
-use tangram_harness::ScenarioFile;
+use tangram_harness::{CountsReport, ScenarioFile};
 
 /// One scenario's run plus its wall time.
 struct Row {
@@ -41,19 +41,11 @@ struct Row {
 fn main() -> ExitCode {
     let opts = ExpOpts::from_args();
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     let dir = args
         .iter()
         .position(|a| a == "--dir")
         .and_then(|i| args.get(i + 1))
         .map_or_else(|| PathBuf::from("config/scenarios"), PathBuf::from);
-
-    let mode = if smoke { "smoke" } else { "full" };
 
     let library = match ScenarioFile::load_dir(&dir) {
         Ok(library) => library,
@@ -64,7 +56,7 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "bench_scenarios: {} scenario(s) from {}, {mode} mode",
+        "bench_scenarios: {} scenario(s) from {}",
         library.len(),
         dir.display()
     );
@@ -107,31 +99,22 @@ fn main() -> ExitCode {
     table.print();
     println!("(timings informational, never gated)");
 
-    let doc = render_report(mode, &rows);
-
+    let report = counts_report(&rows);
     if let Some(out) = &opts.out {
-        let path = out.join("BENCH_scenarios.json");
-        match std::fs::create_dir_all(out).and_then(|()| std::fs::write(&path, doc.render() + "\n"))
-        {
-            Ok(()) => println!("(wrote {})", path.display()),
+        match report.write_to_dir(out) {
+            Ok(path) => println!("(wrote {})", path.display()),
             Err(err) => {
-                eprintln!("failed to write {}: {err}", path.display());
+                eprintln!("failed to write {}: {err}", report.file_name());
                 return ExitCode::FAILURE;
             }
         }
-    }
-
-    if let Some(path) = gate_path {
-        return gate_counts(&doc, &path);
     }
     ExitCode::SUCCESS
 }
 
 /// Builds `BENCH_scenarios.json`: a gated per-scenario `counts` array
-/// plus ungated per-scenario timings. `mode` stays outside `counts` on
-/// purpose — runs are deterministic in the scenario files alone, so
-/// smoke and full produce the same gated bytes.
-fn render_report(mode: &str, rows: &[Row]) -> Json {
+/// plus ungated per-scenario timings.
+fn counts_report(rows: &[Row]) -> CountsReport {
     let counts = Json::object(vec![(
         "scenarios",
         Json::Array(
@@ -163,44 +146,9 @@ fn render_report(mode: &str, rows: &[Row]) -> Json {
             })
             .collect(),
     );
-    Json::object(vec![
-        ("schema_version", Json::U64(1)),
-        ("name", Json::Str("scenarios".to_string())),
-        ("mode", Json::Str(mode.to_string())),
-        ("counts", counts),
-        ("timings", timings),
-    ])
-}
-
-/// Compares this run's `counts` object against a committed baseline.
-/// Timing fields are ignored by construction — only `counts` is read.
-fn gate_counts(candidate: &Json, baseline_path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("gate: cannot read baseline {baseline_path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match Json::parse(&text) {
-        Ok(doc) => doc,
-        Err(err) => {
-            eprintln!("gate: cannot parse baseline {baseline_path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (Some(ours), Some(theirs)) = (candidate.get("counts"), baseline.get("counts")) else {
-        eprintln!("gate: missing `counts` object (schema mismatch)");
-        return ExitCode::FAILURE;
-    };
-    if ours == theirs {
-        println!("gate: counts match {baseline_path}");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("gate: counts DIVERGED from {baseline_path}");
-        eprintln!("--- baseline\n{}", theirs.render());
-        eprintln!("--- candidate\n{}", ours.render());
-        eprintln!("If the change is intentional, refresh the baseline per docs/PERFORMANCE.md.");
-        ExitCode::FAILURE
+    CountsReport {
+        name: "scenarios".to_string(),
+        counts,
+        timings,
     }
 }

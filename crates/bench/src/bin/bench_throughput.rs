@@ -8,21 +8,19 @@
 //! patch: there is one invocation per patch, and the per-invocation
 //! runtime cost, mainly platform submit, sets the pace.
 //!
-//! The emitted `BENCH_throughput.json` (schema 2) splits cleanly into two
-//! kinds of fields:
+//! The emitted `BENCH_throughput.json` is a harness
+//! [`CountsReport`]: its fields split cleanly into two kinds:
 //!
 //! * **counts** (`frames`, `patches`, `batches`, `dropped_arrivals`,
 //!   `events`, `makespan_s`, the preset shape) — deterministic, byte
-//!   stable, gated by CI against the committed baseline;
+//!   stable, gated by `bench_gate` against the committed baseline;
 //! * **timings** (`wall_ms`, `events_per_sec`, `patches_per_sec`) —
 //!   machine- and load-dependent, recorded for humans, **never** gated.
 //!
-//! `--gate <baseline.json>` re-reads a committed baseline and compares
-//! only the count fields; see `docs/PERFORMANCE.md` for the refresh
-//! procedure.
+//! See `docs/PERFORMANCE.md` for the gate and the refresh procedure.
 //!
 //! Flags: the usual [`ExpOpts`] set plus `--smoke` (CI-sized preset:
-//! fewer cameras and frames) and `--gate PATH`.
+//! fewer cameras and frames).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -33,7 +31,7 @@ use tangram_harness::presets::{
     city_scale_engine, city_scale_scenario, city_scale_traces, CITY_SCALE_CAMERAS,
     CITY_SCALE_SMOKE_CAMERAS,
 };
-use tangram_harness::run_scenario_traced;
+use tangram_harness::{run_scenario_traced, CountsReport};
 
 /// Trace-pool depth per camera; the scenario cycles the pool, so this
 /// only shapes content variety, not run length.
@@ -41,13 +39,7 @@ const POOL_FRAMES: usize = 24;
 
 fn main() -> ExitCode {
     let opts = ExpOpts::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let smoke = std::env::args().any(|a| a == "--smoke");
 
     let mode = if smoke { "smoke" } else { "full" };
     let cameras = if smoke {
@@ -112,60 +104,20 @@ fn main() -> ExitCode {
         ("events_per_sec", Json::F64(events_per_sec)),
         ("patches_per_sec", Json::F64(patches_per_sec)),
     ]);
-    let doc = Json::object(vec![
-        ("schema_version", Json::U64(2)),
-        ("name", Json::Str("throughput".to_string())),
-        ("counts", counts),
-        ("timings", timings),
-    ]);
+    let bench = CountsReport {
+        name: "throughput".to_string(),
+        counts,
+        timings,
+    };
 
     if let Some(dir) = &opts.out {
-        let path = dir.join("BENCH_throughput.json");
-        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, doc.render() + "\n"))
-        {
-            Ok(()) => println!("(wrote {})", path.display()),
+        match bench.write_to_dir(dir) {
+            Ok(path) => println!("(wrote {})", path.display()),
             Err(err) => {
-                eprintln!("failed to write {}: {err}", path.display());
+                eprintln!("failed to write {}: {err}", bench.file_name());
                 return ExitCode::FAILURE;
             }
         }
     }
-
-    if let Some(path) = gate_path {
-        return gate_counts(&doc, &path);
-    }
     ExitCode::SUCCESS
-}
-
-/// Compares this run's `counts` object against a committed baseline.
-/// Timing fields are ignored by construction — only `counts` is read.
-fn gate_counts(candidate: &Json, baseline_path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("gate: cannot read baseline {baseline_path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match Json::parse(&text) {
-        Ok(doc) => doc,
-        Err(err) => {
-            eprintln!("gate: cannot parse baseline {baseline_path}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (Some(ours), Some(theirs)) = (candidate.get("counts"), baseline.get("counts")) else {
-        eprintln!("gate: missing `counts` object (schema mismatch)");
-        return ExitCode::FAILURE;
-    };
-    if ours == theirs {
-        println!("gate: counts match {baseline_path}");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("gate: counts DIVERGED from {baseline_path}");
-        eprintln!("--- baseline\n{}", theirs.render());
-        eprintln!("--- candidate\n{}", ours.render());
-        eprintln!("If the change is intentional, refresh the baseline per docs/PERFORMANCE.md.");
-        ExitCode::FAILURE
-    }
 }

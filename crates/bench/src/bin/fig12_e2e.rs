@@ -29,7 +29,10 @@ fn main() {
             opts.seed,
         );
         let report = run_grid(&grid, opts.workers());
-        opts.maybe_write(&report);
+        if let Err(err) = opts.maybe_write(&report) {
+            eprintln!("{err}");
+            std::process::exit(1);
+        }
 
         println!("== Fig. 12 @ {bw:.0} Mbps: average cost ($/scene) and SLO violation (%) ==\n");
         let mut cost_table = policy_table();

@@ -30,7 +30,10 @@ fn main() {
         grid.workloads = WorkloadSpec::per_scene(&scenes, frames, kind);
 
         let grid_outcomes = run_grid_full(&grid, opts.workers());
-        opts.maybe_write(&bench_report(&grid, &grid_outcomes));
+        if let Err(err) = opts.maybe_write(&bench_report(&grid, &grid_outcomes)) {
+            eprintln!("{err}");
+            std::process::exit(1);
+        }
         outcomes.extend(grid_outcomes);
     }
 

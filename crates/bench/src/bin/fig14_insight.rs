@@ -29,7 +29,10 @@ fn main() {
     grid.workloads = WorkloadSpec::per_scene(&scenes, frames, kind);
 
     let outcomes = run_grid_full(&grid, opts.workers());
-    opts.maybe_write(&bench_report(&grid, &outcomes));
+    if let Err(err) = opts.maybe_write(&bench_report(&grid, &outcomes)) {
+        eprintln!("{err}");
+        std::process::exit(1);
+    }
 
     let paper_amortized = [0.0252, 0.0223, 0.0213];
     let mut summary = TextTable::new([

@@ -88,13 +88,19 @@ impl ExpOpts {
     }
 
     /// Writes the report into `--out` (if given), printing the path.
-    pub fn maybe_write(&self, report: &BenchReport) {
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the file when the write fails; the bins
+    /// print it and exit non-zero.
+    pub fn maybe_write(&self, report: &BenchReport) -> Result<(), String> {
         if let Some(dir) = &self.out {
-            match report.write_to_dir(dir) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(err) => eprintln!("failed to write {}: {err}", report.file_name()),
-            }
+            let path = report
+                .write_to_dir(dir)
+                .map_err(|err| format!("failed to write {}: {err}", report.file_name()))?;
+            println!("(wrote {})", path.display());
         }
+        Ok(())
     }
 }
 
@@ -142,6 +148,23 @@ mod tests {
     fn ignores_unknown_flags() {
         let o = opts(&["--smoke", "--seed", "9"]);
         assert_eq!(o.seed, 9);
+    }
+
+    #[test]
+    fn maybe_write_fails_when_out_is_a_file() {
+        let file = std::env::temp_dir().join(format!("tangram_cli_out_{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let report = BenchReport {
+            name: "blocked".to_string(),
+            grid: crate::grid::SweepGrid::named("blocked"),
+            cells: Vec::new(),
+        };
+        let result = opts(&["--out", file.to_str().unwrap()]).maybe_write(&report);
+        std::fs::remove_file(&file).unwrap();
+        let err = result.unwrap_err();
+        assert!(err.contains("BENCH_blocked.json"), "{err}");
+        // Without `--out` nothing is written and nothing fails.
+        assert!(opts(&[]).maybe_write(&report).is_ok());
     }
 
     #[test]

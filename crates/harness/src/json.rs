@@ -161,13 +161,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message naming the byte offset of the first syntax
-    /// error, or any trailing non-whitespace input.
+    /// error, a number that overflows `f64`, arrays and objects nested
+    /// more than 128 levels deep, or any trailing non-whitespace input.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(input, &mut pos, 0)?;
+        skip_ws(input.as_bytes(), &mut pos);
+        if pos != input.len() {
             return Err(format!("trailing input at byte {pos}"));
         }
         Ok(value)
@@ -225,13 +225,23 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so the cap turns a hostile `[[[[…` into an error instead of a
+/// stack overflow; real BENCH files nest five levels deep.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(input, pos, depth + 1),
+        Some(b'[') => parse_array(input, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(input, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
@@ -273,12 +283,17 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Ok(Json::U64(v));
         }
     }
-    text.parse::<f64>()
-        .map(Json::F64)
-        .map_err(|_| format!("invalid number '{text}' at byte {start}"))
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::F64(v)),
+        // An overflowing literal would parse to ±inf, which renders as
+        // `null` and so cannot round-trip.
+        Ok(_) => Err(format!("number '{text}' out of range at byte {start}")),
+        Err(_) => Err(format!("invalid number '{text}' at byte {start}")),
+    }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -313,17 +328,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one full UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf8")?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one go;
+                // both are ASCII, so the run ends on a char boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(&input[*pos..end]);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(input: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -332,7 +351,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(input, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -345,7 +364,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(input: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -355,10 +375,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(input, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(input, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -453,6 +473,40 @@ mod tests {
         let arr = doc.get("a").and_then(Json::as_array).unwrap();
         assert_eq!(arr[0].as_f64(), Some(-1.5));
         assert_eq!(arr[1].as_u64(), Some(2));
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(
+            err.contains("nesting deeper than 128 levels at byte 128"),
+            "{err}"
+        );
+        let deep_objects = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&deep_objects).unwrap_err().contains("nesting"));
+
+        // The cap itself still parses.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(Json::parse(&past_cap).is_err());
+    }
+
+    #[test]
+    fn long_and_multibyte_strings_round_trip() {
+        let long = Json::Str("é→x\"\\".repeat(100_000));
+        assert_eq!(Json::parse(&long.render()).unwrap(), long);
+        let mixed = Json::Str("ascii, ünïcödé, 漢字, 🦀 and \u{7f}".to_string());
+        assert_eq!(Json::parse(&mixed.render()).unwrap(), mixed);
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected() {
+        let err = Json::parse("[1e999]").unwrap_err();
+        assert!(err.contains("out of range at byte 1"), "{err}");
+        assert!(Json::parse("-1e400").is_err());
+        assert_eq!(Json::parse("1e308").unwrap(), Json::F64(1e308));
     }
 
     #[test]

@@ -19,9 +19,11 @@
 //! * [`runner`] — [`runner::run_grid`]: traces built once per workload,
 //!   cells fanned out, results reassembled; parallel output is
 //!   bit-for-bit identical to `--workers 1`;
-//! * [`report`] — the versioned [`report::BenchReport`] written as
-//!   `BENCH_<name>.json`, plus the [`report::gate`] CI comparison
-//!   against a checked-in baseline;
+//! * [`report`] — the versioned `BENCH_<name>.json` envelopes: the grid
+//!   [`report::BenchReport`] and the [`report::CountsReport`] of the
+//!   non-grid benches, plus the [`report::gate`] and
+//!   [`report::counts_gate`] CI comparisons against a checked-in
+//!   baseline;
 //! * [`presets`] — the shared experiment setup (paper sweep constants,
 //!   trace and engine constructors, warmed extractor rigs) the bins used
 //!   to copy-paste;
@@ -74,7 +76,7 @@ pub use grid::{
     WorkloadSpec,
 };
 pub use pool::parallel_map;
-pub use report::{gate, BenchReport, CellReport, GateConfig, SCHEMA_VERSION};
+pub use report::{counts_gate, gate, BenchReport, CellReport, CountsReport, SCHEMA_VERSION};
 pub use runner::{
     bench_report, run_grid, run_grid_full, run_scenario, run_scenario_traced, CellOutcome,
 };

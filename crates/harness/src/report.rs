@@ -1,4 +1,5 @@
-//! Versioned, machine-readable bench reports.
+//! Versioned, machine-readable bench reports: the only writer, reader
+//! and gate of every `BENCH_*.json`.
 //!
 //! A [`BenchReport`] is what one [`crate::grid::SweepGrid`] run leaves
 //! behind: a schema version, the grid that was swept (so the file is
@@ -12,6 +13,12 @@
 //! Nothing wall-clock-dependent is recorded: `throughput_pps` is patches
 //! per *simulated* second, so a scheduling regression moves it while the
 //! host machine's speed cannot.
+//!
+//! A [`CountsReport`] is the envelope of the benches that are not grids
+//! (`bench_throughput`, `bench_scenarios`): deterministic `counts`, gated
+//! leaf by leaf by [`counts_gate`], beside wall-clock `timings` that no
+//! gate reads. `bench_gate` tells the two kinds apart by their `cells`
+//! or `counts` key.
 
 use crate::grid::{
     policy_from_name, AdmissionSpec, ArrivalSpec, FairnessSpec, ScenarioSpec, SweepGrid, TraceKind,
@@ -19,6 +26,7 @@ use crate::grid::{
 };
 use crate::json::Json;
 use serde::{Deserialize, Serialize};
+use std::path::{Path, PathBuf};
 use tangram_core::faults::{FaultKind, FaultSpec};
 use tangram_core::report::{RunSummary, TenantSummary};
 
@@ -29,7 +37,8 @@ use tangram_core::report::{RunSummary, TenantSummary};
 /// every tenant row) and the weighted-DRR `fairness` sweep axis.
 /// v4 added declarative fault injection (`faults` on every scenario,
 /// emitted only when non-empty) and made weighted-DRR work-conserving,
-/// which moves fairness-axis metrics.
+/// which moves fairness-axis metrics. v4 also stamps the counts reports
+/// ([`CountsReport`]).
 pub const SCHEMA_VERSION: u64 = 4;
 
 /// One cell's outcome.
@@ -83,9 +92,11 @@ impl BenchReport {
     /// newline, as checked-in baselines want).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut text = self.to_value().render();
-        text.push('\n');
-        text
+        let cells = Json::Array(self.cells.iter().map(cell_to_value).collect());
+        envelope(
+            &self.name,
+            vec![("grid", grid_to_value(&self.grid)), ("cells", cells)],
+        )
     }
 
     /// Parses a report back, validating the schema version.
@@ -95,21 +106,7 @@ impl BenchReport {
     /// Returns a message on malformed JSON, a missing/unknown field, or a
     /// schema-version mismatch.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let value = Json::parse(text)?;
-        let version = value
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema_version")?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {version} unsupported (expected {SCHEMA_VERSION})"
-            ));
-        }
-        let name = value
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("missing name")?
-            .to_string();
+        let (value, name) = open_envelope(text)?;
         let grid = grid_from_value(value.get("grid").ok_or("missing grid")?)?;
         let cells = value
             .get("cells")
@@ -121,18 +118,60 @@ impl BenchReport {
         Ok(BenchReport { name, grid, cells })
     }
 
-    /// The full document as a JSON value.
+    /// Writes `BENCH_<name>.json` under `dir`, returning the path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write_to_dir(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        write_file(dir, &self.file_name(), &self.to_json())
+    }
+}
+
+/// The report of a bench that is not a grid (`bench_throughput`,
+/// `bench_scenarios`): deterministic `counts`, gated by [`counts_gate`],
+/// beside wall-clock `timings` that no gate reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CountsReport {
+    /// Bench name (`BENCH_<name>.json`).
+    pub name: String,
+    /// Deterministic results; an object.
+    pub counts: Json,
+    /// Machine-dependent measurements, recorded for humans.
+    pub timings: Json,
+}
+
+impl CountsReport {
+    /// The canonical file name for this report.
     #[must_use]
-    pub fn to_value(&self) -> Json {
-        Json::object(vec![
-            ("schema_version", Json::U64(SCHEMA_VERSION)),
-            ("name", Json::Str(self.name.clone())),
-            ("grid", grid_to_value(&self.grid)),
-            (
-                "cells",
-                Json::Array(self.cells.iter().map(cell_to_value).collect()),
-            ),
-        ])
+    pub fn file_name(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+
+    /// Serialises like [`BenchReport::to_json`].
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let body = vec![
+            ("counts", self.counts.clone()),
+            ("timings", self.timings.clone()),
+        ];
+        envelope(&self.name, body)
+    }
+
+    /// Parses a report back, validating the schema version.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on malformed JSON, a schema-version mismatch, or
+    /// a missing name, `counts` object or `timings`.
+    pub fn from_json(text: &str) -> Result<CountsReport, String> {
+        let (value, name) = open_envelope(text)?;
+        let counts = value.get("counts").filter(|c| matches!(c, Json::Object(_)));
+        Ok(CountsReport {
+            name,
+            counts: counts.ok_or("missing counts object")?.clone(),
+            timings: value.get("timings").ok_or("missing timings")?.clone(),
+        })
     }
 
     /// Writes `BENCH_<name>.json` under `dir`, returning the path.
@@ -140,12 +179,48 @@ impl BenchReport {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write_to_dir(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    pub fn write_to_dir(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        write_file(dir, &self.file_name(), &self.to_json())
     }
+}
+
+/// Renders a BENCH document: the schema version and name every file
+/// starts with, then `body`, then a trailing newline.
+fn envelope(name: &str, body: Vec<(&str, Json)>) -> String {
+    let mut pairs = vec![
+        ("schema_version", Json::U64(SCHEMA_VERSION)),
+        ("name", Json::Str(name.to_string())),
+    ];
+    pairs.extend(body);
+    Json::object(pairs).render() + "\n"
+}
+
+/// Parses a BENCH document, checks its schema version and returns it
+/// with its `name`.
+fn open_envelope(text: &str) -> Result<(Json, String), String> {
+    let value = Json::parse(text)?;
+    let version = value
+        .get("schema_version")
+        .and_then(Json::as_u64)
+        .ok_or("missing schema_version")?;
+    if version != SCHEMA_VERSION {
+        return Err(format!(
+            "schema_version {version} unsupported (expected {SCHEMA_VERSION})"
+        ));
+    }
+    let name = value
+        .get("name")
+        .and_then(Json::as_str)
+        .ok_or("missing name")?;
+    let name = name.to_string();
+    Ok((value, name))
+}
+
+fn write_file(dir: &Path, file_name: &str, text: &str) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(file_name);
+    std::fs::write(&path, text)?;
+    Ok(path)
 }
 
 fn grid_to_value(grid: &SweepGrid) -> Json {
@@ -812,25 +887,13 @@ fn cell_from_value(value: &Json) -> Result<CellReport, String> {
     })
 }
 
-/// Tolerances of the CI perf gate.
-#[derive(Debug, Clone, Copy)]
-pub struct GateConfig {
-    /// Maximum tolerated relative drop in per-cell `throughput_pps`
-    /// (and rise in `p99_latency_s`) before the gate fails.
-    pub max_perf_regression: f64,
-    /// Relative tolerance on correctness metrics (patches, violations,
-    /// cost, bytes, SLO attainment); anything beyond it is drift.
-    pub correctness_tolerance: f64,
-}
+/// Maximum tolerated relative drop in per-cell `throughput_pps` (and
+/// rise in `p99_latency_s`) before [`gate`] fails.
+const MAX_PERF_REGRESSION: f64 = 0.20;
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        Self {
-            max_perf_regression: 0.20,
-            correctness_tolerance: 1e-9,
-        }
-    }
-}
+/// Relative tolerance on correctness metrics (patches, violations, cost,
+/// bytes, SLO attainment); anything beyond it is drift.
+const CORRECTNESS_TOLERANCE: f64 = 1e-9;
 
 fn rel_diff(a: f64, b: f64) -> f64 {
     let scale = a.abs().max(b.abs());
@@ -847,10 +910,9 @@ fn rel_diff(a: f64, b: f64) -> f64 {
 /// Correctness metrics must match the baseline (the simulator is
 /// deterministic, so any drift is a real behavioural change — refresh the
 /// baseline deliberately if it is intended). Perf metrics get
-/// [`GateConfig::max_perf_regression`] headroom, and only regressions
-/// fail: faster is always fine.
+/// 20% headroom, and only regressions fail: faster is always fine.
 #[must_use]
-pub fn gate(baseline: &BenchReport, candidate: &BenchReport, config: &GateConfig) -> Vec<String> {
+pub fn gate(baseline: &BenchReport, candidate: &BenchReport) -> Vec<String> {
     let mut violations = Vec::new();
     if baseline.cells.len() != candidate.cells.len() {
         violations.push(format!(
@@ -908,7 +970,7 @@ pub fn gate(baseline: &BenchReport, candidate: &BenchReport, config: &GateConfig
             ),
         ];
         for (name, b, c) in correctness {
-            if rel_diff(b, c) > config.correctness_tolerance {
+            if rel_diff(b, c) > CORRECTNESS_TOLERANCE {
                 violations.push(format!("{label}: {name} drifted {b} -> {c}"));
             }
         }
@@ -922,7 +984,7 @@ pub fn gate(baseline: &BenchReport, candidate: &BenchReport, config: &GateConfig
             ));
         } else {
             for (bt, ct) in base.metrics.tenants.iter().zip(&cand.metrics.tenants) {
-                if rel_diff(bt.slo_s, ct.slo_s) > config.correctness_tolerance {
+                if rel_diff(bt.slo_s, ct.slo_s) > CORRECTNESS_TOLERANCE {
                     violations.push(format!(
                         "{label}: tenant class slo drifted {} -> {}",
                         bt.slo_s, ct.slo_s
@@ -947,7 +1009,7 @@ pub fn gate(baseline: &BenchReport, candidate: &BenchReport, config: &GateConfig
         }
         let b_tp = base.metrics.throughput_pps;
         let c_tp = cand.metrics.throughput_pps;
-        if b_tp > 0.0 && c_tp < b_tp * (1.0 - config.max_perf_regression) {
+        if b_tp > 0.0 && c_tp < b_tp * (1.0 - MAX_PERF_REGRESSION) {
             violations.push(format!(
                 "{label}: throughput_pps regressed {:.1}% ({b_tp:.2} -> {c_tp:.2})",
                 (1.0 - c_tp / b_tp) * 100.0
@@ -955,7 +1017,7 @@ pub fn gate(baseline: &BenchReport, candidate: &BenchReport, config: &GateConfig
         }
         let b_p99 = base.metrics.p99_latency_s;
         let c_p99 = cand.metrics.p99_latency_s;
-        if b_p99 > 0.0 && c_p99 > b_p99 * (1.0 + config.max_perf_regression) {
+        if b_p99 > 0.0 && c_p99 > b_p99 * (1.0 + MAX_PERF_REGRESSION) {
             violations.push(format!(
                 "{label}: p99_latency_s regressed {:.1}% ({b_p99:.4} -> {c_p99:.4})",
                 (c_p99 / b_p99 - 1.0) * 100.0
@@ -963,6 +1025,57 @@ pub fn gate(baseline: &BenchReport, candidate: &BenchReport, config: &GateConfig
         }
     }
     violations
+}
+
+/// Compares a candidate counts report against a checked-in baseline,
+/// returning one message per differing `counts` leaf, named by its path
+/// (`counts.scenarios[2].events: 937 -> 940`). Counts are deterministic,
+/// so any difference is drift. `timings` are never read.
+#[must_use]
+pub fn counts_gate(baseline: &CountsReport, candidate: &CountsReport) -> Vec<String> {
+    let mut violations = Vec::new();
+    diff_leaves(
+        "counts",
+        &baseline.counts,
+        &candidate.counts,
+        &mut violations,
+    );
+    violations
+}
+
+fn diff_leaves(path: &str, base: &Json, cand: &Json, out: &mut Vec<String>) {
+    match (base, cand) {
+        (Json::Object(b), Json::Object(c)) => {
+            for (key, bv) in b {
+                match cand.get(key) {
+                    Some(cv) => diff_leaves(&format!("{path}.{key}"), bv, cv, out),
+                    None => out.push(format!("{path}.{key}: missing from the candidate")),
+                }
+            }
+            for (key, _) in c.iter().filter(|(key, _)| base.get(key).is_none()) {
+                out.push(format!("{path}.{key}: not in the baseline"));
+            }
+        }
+        (Json::Array(b), Json::Array(c)) => {
+            for (i, (bv, cv)) in b.iter().zip(c).enumerate() {
+                diff_leaves(&format!("{path}[{i}]"), bv, cv, out);
+            }
+            if b.len() != c.len() {
+                out.push(format!("{path}: length {} -> {}", b.len(), c.len()));
+            }
+        }
+        _ if base != cand => out.push(format!("{path}: {} -> {}", leaf(base), leaf(cand))),
+        _ => {}
+    }
+}
+
+/// A leaf on one line: scalars as JSON, containers by kind.
+fn leaf(value: &Json) -> String {
+    match value {
+        Json::Array(_) => "an array".to_string(),
+        Json::Object(_) => "an object".to_string(),
+        scalar => scalar.render(),
+    }
 }
 
 #[cfg(test)]
@@ -1084,7 +1197,7 @@ mod tests {
         let baseline = sample_report();
         let mut candidate = baseline.clone();
         candidate.cells[0].metrics.tenants[0].peak_queued = 7;
-        let violations = gate(&baseline, &candidate, &GateConfig::default());
+        let violations = gate(&baseline, &candidate);
         assert!(
             violations.iter().any(|v| v.contains("peak_queued")),
             "{violations:?}"
@@ -1233,7 +1346,7 @@ mod tests {
         let baseline = sample_report();
         let mut candidate = baseline.clone();
         candidate.cells[0].metrics.dropped_arrivals += 1;
-        let violations = gate(&baseline, &candidate, &GateConfig::default());
+        let violations = gate(&baseline, &candidate);
         assert!(
             violations.iter().any(|v| v.contains("dropped_arrivals")),
             "{violations:?}"
@@ -1242,7 +1355,7 @@ mod tests {
         // Per-class drift is caught even when the totals stay flat.
         let mut reshuffled = baseline.clone();
         reshuffled.cells[0].metrics.tenants[0].dropped += 2;
-        let violations = gate(&baseline, &reshuffled, &GateConfig::default());
+        let violations = gate(&baseline, &reshuffled);
         assert!(
             violations.iter().any(|v| v.contains("tenant slo=1")),
             "{violations:?}"
@@ -1252,7 +1365,7 @@ mod tests {
     #[test]
     fn gate_passes_on_identical_reports() {
         let report = sample_report();
-        assert!(gate(&report, &report, &GateConfig::default()).is_empty());
+        assert!(gate(&report, &report).is_empty());
     }
 
     #[test]
@@ -1260,7 +1373,7 @@ mod tests {
         let baseline = sample_report();
         let mut candidate = baseline.clone();
         candidate.cells[0].metrics.cost_usd *= 1.001;
-        let violations = gate(&baseline, &candidate, &GateConfig::default());
+        let violations = gate(&baseline, &candidate);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("cost_usd"), "{violations:?}");
     }
@@ -1270,7 +1383,7 @@ mod tests {
         let baseline = sample_report();
         let mut slower = baseline.clone();
         slower.cells[0].metrics.throughput_pps *= 0.7;
-        let violations = gate(&baseline, &slower, &GateConfig::default());
+        let violations = gate(&baseline, &slower);
         assert!(
             violations.iter().any(|v| v.contains("throughput_pps")),
             "{violations:?}"
@@ -1278,7 +1391,7 @@ mod tests {
 
         let mut faster = baseline.clone();
         faster.cells[0].metrics.throughput_pps *= 1.5;
-        assert!(gate(&baseline, &faster, &GateConfig::default())
+        assert!(gate(&baseline, &faster)
             .iter()
             .all(|v| !v.contains("throughput_pps")));
     }
@@ -1289,7 +1402,7 @@ mod tests {
         let mut candidate = baseline.clone();
         candidate.cells[0].metrics.throughput_pps *= 0.9; // within 20%
         candidate.cells[0].metrics.p99_latency_s *= 1.1; // within 20%
-        assert!(gate(&baseline, &candidate, &GateConfig::default()).is_empty());
+        assert!(gate(&baseline, &candidate).is_empty());
     }
 
     #[test]
@@ -1297,8 +1410,114 @@ mod tests {
         let baseline = sample_report();
         let mut candidate = baseline.clone();
         candidate.cells.clear();
-        let violations = gate(&baseline, &candidate, &GateConfig::default());
+        let violations = gate(&baseline, &candidate);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("cell count"), "{violations:?}");
+    }
+
+    /// A scenarios-shaped counts report whose third row has `events` events.
+    fn sample_counts(events: u64) -> CountsReport {
+        let scenario = |name: &str, events: u64| {
+            Json::object(vec![
+                ("name", Json::Str(name.to_string())),
+                ("events", Json::U64(events)),
+                ("makespan_s", Json::F64(11.591954)),
+            ])
+        };
+        CountsReport {
+            name: "scenarios".to_string(),
+            counts: Json::object(vec![(
+                "scenarios",
+                Json::Array(vec![
+                    scenario("a", 100),
+                    scenario("b", 200),
+                    scenario("c", events),
+                ]),
+            )]),
+            timings: Json::object(vec![("wall_ms", Json::F64(3.5))]),
+        }
+    }
+
+    #[test]
+    fn counts_report_round_trips_in_the_shared_envelope() {
+        let report = sample_counts(937);
+        let text = report.to_json();
+        assert!(text.starts_with("{\n  \"schema_version\": 4,\n  \"name\": \"scenarios\",\n"));
+        assert!(text.ends_with("}\n"));
+        let back = CountsReport::from_json(&text).unwrap();
+        assert_eq!(back, report);
+        assert_eq!(back.to_json(), text, "render(parse(x)) == x");
+        assert_eq!(report.file_name(), "BENCH_scenarios.json");
+    }
+
+    #[test]
+    fn counts_gate_passes_on_identical_reports() {
+        let report = sample_counts(937);
+        assert!(counts_gate(&report, &report.clone()).is_empty());
+    }
+
+    #[test]
+    fn counts_gate_names_the_changed_leaf() {
+        let baseline = sample_counts(937);
+        let candidate = sample_counts(940);
+        assert_eq!(
+            counts_gate(&baseline, &candidate),
+            vec!["counts.scenarios[2].events: 937 -> 940".to_string()]
+        );
+    }
+
+    #[test]
+    fn counts_gate_reports_shape_changes() {
+        let baseline = sample_counts(937);
+        let mut candidate = baseline.clone();
+        candidate.counts = Json::object(vec![
+            ("scenarios", Json::Array(Vec::new())),
+            ("extra", Json::U64(1)),
+        ]);
+        assert_eq!(
+            counts_gate(&baseline, &candidate),
+            vec![
+                "counts.scenarios: length 3 -> 0".to_string(),
+                "counts.extra: not in the baseline".to_string(),
+            ]
+        );
+        assert_eq!(
+            counts_gate(&candidate, &baseline),
+            vec![
+                "counts.scenarios: length 0 -> 3".to_string(),
+                "counts.extra: missing from the candidate".to_string(),
+            ]
+        );
+        candidate.counts = Json::object(vec![("scenarios", Json::U64(3))]);
+        assert_eq!(
+            counts_gate(&baseline, &candidate),
+            vec!["counts.scenarios: an array -> 3".to_string()]
+        );
+    }
+
+    #[test]
+    fn counts_gate_never_reads_timings() {
+        let baseline = sample_counts(937);
+        let mut candidate = baseline.clone();
+        candidate.timings = Json::Array(vec![Json::F64(9e9)]);
+        assert!(counts_gate(&baseline, &candidate).is_empty());
+    }
+
+    #[test]
+    fn counts_report_rejects_a_wrong_schema_or_missing_counts() {
+        let text = sample_counts(937).to_json();
+        let err = CountsReport::from_json(
+            &text.replace("\"schema_version\": 4", "\"schema_version\": 2"),
+        )
+        .unwrap_err();
+        assert!(err.contains("schema_version 2 unsupported"), "{err}");
+
+        let err = CountsReport::from_json(&text.replace("\"counts\"", "\"tallies\"")).unwrap_err();
+        assert!(err.contains("missing counts"), "{err}");
+
+        let mut scalar = sample_counts(937);
+        scalar.counts = Json::U64(1);
+        let err = CountsReport::from_json(&scalar.to_json()).unwrap_err();
+        assert!(err.contains("missing counts"), "{err}");
     }
 }

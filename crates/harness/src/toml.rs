@@ -292,7 +292,7 @@ fn parse_entry(line: &str, line_no: usize) -> Result<TomlEntry, TomlError> {
         return err(line_no, format!("key `{key}` has no value"));
     }
     let mut pos = 0usize;
-    let value = parse_value(value_text.as_bytes(), &mut pos, line_no)?;
+    let value = parse_value(value_text, &mut pos, line_no, 0)?;
     if value_text[pos..].trim().is_empty() {
         Ok(TomlEntry {
             key: key.to_string(),
@@ -313,12 +313,27 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, line_no: usize) -> Result<TomlValue, TomlError> {
+/// How deeply arrays may nest. The value parser recurses once per `[`,
+/// so the cap turns a hostile `x = [[[[…` into a line-numbered error
+/// instead of a stack overflow; scenario files nest one level deep.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(
+    text: &str,
+    pos: &mut usize,
+    line_no: usize,
+    depth: usize,
+) -> Result<TomlValue, TomlError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => err(line_no, "missing value"),
-        Some(b'"') => parse_string(bytes, pos, line_no).map(TomlValue::Str),
-        Some(b'[') => parse_array(bytes, pos, line_no),
+        Some(b'"') => parse_string(text, pos, line_no).map(TomlValue::Str),
+        Some(b'[') if depth == MAX_DEPTH => err(
+            line_no,
+            format!("arrays nested deeper than {MAX_DEPTH} levels"),
+        ),
+        Some(b'[') => parse_array(text, pos, line_no, depth + 1),
         Some(b't') | Some(b'f') => parse_bool(bytes, pos, line_no),
         Some(_) => parse_number(bytes, pos, line_no),
     }
@@ -334,7 +349,8 @@ fn parse_bool(bytes: &[u8], pos: &mut usize, line_no: usize) -> Result<TomlValue
     err(line_no, "invalid literal (expected true/false)")
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize, line_no: usize) -> Result<String, TomlError> {
+fn parse_string(text: &str, pos: &mut usize, line_no: usize) -> Result<String, TomlError> {
+    let bytes = text.as_bytes();
     *pos += 1; // opening quote
     let mut out = String::new();
     loop {
@@ -356,19 +372,26 @@ fn parse_string(bytes: &[u8], pos: &mut usize, line_no: usize) -> Result<String,
                 *pos += 1;
             }
             Some(_) => {
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| TomlError {
-                    line: line_no,
-                    message: "bad utf8".to_string(),
-                })?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one go;
+                // both are ASCII, so the run ends on a char boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(&text[*pos..end]);
+                *pos = end;
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, line_no: usize) -> Result<TomlValue, TomlError> {
+fn parse_array(
+    text: &str,
+    pos: &mut usize,
+    line_no: usize,
+    depth: usize,
+) -> Result<TomlValue, TomlError> {
+    let bytes = text.as_bytes();
     *pos += 1; // opening bracket
     let mut items = Vec::new();
     loop {
@@ -380,7 +403,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, line_no: usize) -> Result<TomlValu
                 return Ok(TomlValue::Array(items));
             }
             Some(_) => {
-                items.push(parse_value(bytes, pos, line_no)?);
+                items.push(parse_value(text, pos, line_no, depth)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -416,7 +439,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize, line_no: usize) -> Result<TomlVal
         }
     }
     match text.parse::<f64>() {
-        Ok(v) => Ok(TomlValue::Float(v)),
+        Ok(v) if v.is_finite() => Ok(TomlValue::Float(v)),
+        Ok(_) => err(line_no, format!("number `{text}` out of range")),
         Err(_) => err(line_no, format!("invalid number `{text}`")),
     }
 }
@@ -505,6 +529,31 @@ mod tests {
     fn hash_inside_strings_is_not_a_comment() {
         let doc = TomlDocument::parse("s = \"a # b\"\n").unwrap();
         assert_eq!(doc.root_entry("s").unwrap().value.as_str(), Some("a # b"));
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_line_numbered_error() {
+        let deep = format!("a = 1\nx = {}\n", "[".repeat(100_000));
+        let e = TomlDocument::parse(&deep).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("nested deeper than 128"), "{e}");
+
+        let at_cap = format!("x = {}{}\n", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(TomlDocument::parse(&at_cap).is_ok());
+        let past_cap = format!("x = [{}{}]\n", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(TomlDocument::parse(&past_cap).is_err());
+    }
+
+    #[test]
+    fn long_multibyte_strings_and_overflowing_floats() {
+        let long = "é→\\\"x".repeat(50_000);
+        let doc = TomlDocument::parse(&format!("s = \"{long}\"\n")).unwrap();
+        let decoded = doc.root_entry("s").unwrap().value.as_str().unwrap();
+        assert_eq!(decoded, "é→\"x".repeat(50_000));
+
+        let e = TomlDocument::parse("a = 1\nf = 1e999\n").unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.message.contains("out of range"), "{e}");
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! * **Crate DAG** ([`dag`]) — `dag-edge`, `dag-cycle`, `dag-unlisted`,
 //!   verified against the declared lattice ([`dag::LATTICE`], the DAG's
 //!   source of truth).
-//! * **Serialization discipline** ([`schema`]) — `schema-sync`,
+//! * **Serialization discipline** ([`schema`]) — `schema-sync` (every
+//!   `BENCH_*.json` baseline carries the one harness `SCHEMA_VERSION`),
 //!   `trace-kinds`.
 //! * **Waivers** ([`waiver`]) — `stale-waiver`, `waiver-format`:
 //!   exemptions live in `config/lint_allow.toml` with mandatory
@@ -150,7 +151,7 @@ pub const RULES: [Rule; 14] = [
     },
     Rule {
         id: "schema-sync",
-        summary: "baseline schema_version matches its writer's constant",
+        summary: "baseline schema_version matches the harness SCHEMA_VERSION",
     },
     Rule {
         id: "trace-kinds",

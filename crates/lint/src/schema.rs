@@ -5,15 +5,10 @@
 //! Two rule ids:
 //!
 //! * `schema-sync` — every `baselines/BENCH_*.json` must carry the
-//!   `schema_version` its writer stamps today. Harness-written reports
-//!   (`bench_all`/`bench_overload`/`bench_fairness` grids) are checked
-//!   against the `SCHEMA_VERSION` constant in
-//!   `crates/harness/src/report.rs` (writer *and* parser *and*
-//!   `bench_gate` share that one constant, so checking the baselines
-//!   against it closes the loop); bins that own their format
-//!   (`bench_throughput`, `bench_scenarios`) are checked against the
-//!   literal in their own source — which must itself be consistent at
-//!   every mention within the file.
+//!   `SCHEMA_VERSION` constant of `crates/harness/src/report.rs`. The
+//!   harness is the only writer, parser and gate of both BENCH kinds
+//!   (grid and counts reports), so checking the baselines against that
+//!   one constant closes the loop;
 //! * `trace-kinds` — in `crates/trace/src/event.rs`, the kind strings
 //!   returned by `TraceEvent::kind()`, the entries of the
 //!   `TraceEvent::KINDS` registry, and the tags `from_fields` can parse
@@ -67,57 +62,22 @@ fn harness_schema(root: &Path) -> Result<Option<(u64, usize)>, String> {
         return Ok(None);
     }
     let file = scan(&read_file(root, rel)?);
-    for line in file.code_lines() {
-        if line.code.contains("SCHEMA_VERSION") && line.code.contains('=') {
-            if let Some(eq) = line.code.find('=') {
-                if let Some(value) = first_int(&line.code[eq..]) {
-                    return Ok(Some((value, line.number)));
-                }
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// The schema literal a self-contained bench bin stamps, with every
-/// in-file mention collected so writer and gate cannot drift apart.
-fn bin_schema(root: &Path, rel: &str) -> Result<(Option<u64>, Vec<Violation>), String> {
-    if !root.join(rel).is_file() {
-        return Ok((None, Vec::new()));
-    }
-    let file = scan(&read_file(root, rel)?);
-    let mut sites: Vec<(u64, usize)> = Vec::new();
-    for line in &file.lines {
-        if line.strings.iter().any(|s| s.contains("schema_version")) {
-            if let Some(value) = first_int(&line.code) {
-                sites.push((value, line.number));
-            }
-        }
-    }
-    let mut violations = Vec::new();
-    if let Some(&(expected, first_line)) = sites.first() {
-        for &(value, line) in &sites[1..] {
-            if value != expected {
-                violations.push(Violation::new(
-                    rel,
-                    line,
-                    "schema-sync",
-                    format!(
-                        "schema_version {value} disagrees with {expected} on line {first_line} \
-                         of the same file"
-                    ),
-                ));
-            }
-        }
-        Ok((Some(expected), violations))
-    } else {
-        Ok((None, violations))
-    }
+    let found = file.code_lines().find_map(|line| {
+        let eq = line
+            .code
+            .find('=')
+            .filter(|_| line.code.contains("SCHEMA_VERSION"))?;
+        Some((first_int(&line.code[eq..])?, line.number))
+    });
+    Ok(found)
 }
 
 fn check_schema_versions(root: &Path) -> Result<Vec<Violation>, String> {
     let mut violations = Vec::new();
-    let harness = harness_schema(root)?;
+    let Some((expected, line)) = harness_schema(root)? else {
+        return Ok(violations);
+    };
+    let owner = format!("crates/harness/src/report.rs:{line}");
     let baselines = root.join("baselines");
     if !baselines.is_dir() {
         return Ok(violations);
@@ -131,49 +91,22 @@ fn check_schema_versions(root: &Path) -> Result<Vec<Violation>, String> {
     names.sort();
     for name in names {
         let rel = format!("baselines/{name}");
-        let stem = name
-            .trim_start_matches("BENCH_")
-            .trim_end_matches(".json")
-            .to_string();
-        let bin_rel = format!("crates/bench/src/bin/bench_{stem}.rs");
-        let (bin_version, mut bin_violations) = bin_schema(root, &bin_rel)?;
-        violations.append(&mut bin_violations);
-        let (expected, owner) = match bin_version {
-            Some(v) => (v, bin_rel),
-            None => match harness {
-                Some((v, line)) => (v, format!("crates/harness/src/report.rs:{line}")),
-                None => continue,
-            },
-        };
         let text = read_file(root, &rel)?;
-        let mut found = false;
-        for (index, line) in text.lines().enumerate() {
-            if let Some(at) = line.find("\"schema_version\"") {
-                found = true;
-                let value = first_int(&line[at + "\"schema_version\"".len()..]);
-                if value != Some(expected) {
-                    violations.push(Violation::new(
-                        &rel,
-                        index + 1,
-                        "schema-sync",
-                        format!(
-                            "schema_version {} does not match the writer's {expected} \
-                             (declared in {owner}); regenerate the baseline in this PR",
-                            value.map_or_else(|| "?".to_string(), |v| v.to_string()),
-                        ),
-                    ));
-                }
-                break;
-            }
-        }
-        if !found {
-            violations.push(Violation::new(
-                &rel,
-                1,
-                "schema-sync",
-                "baseline carries no schema_version field".to_string(),
-            ));
-        }
+        let stamp = text.lines().enumerate().find_map(|(index, line)| {
+            let at = line.find("\"schema_version\"")? + "\"schema_version\"".len();
+            Some((index + 1, first_int(&line[at..])))
+        });
+        let message = match stamp {
+            None => "baseline carries no schema_version field".to_string(),
+            Some((_, Some(value))) if value == expected => continue,
+            Some((_, value)) => format!(
+                "schema_version {} does not match the writer's {expected} (declared in \
+                 {owner}); regenerate the baseline in this PR",
+                value.map_or_else(|| "?".to_string(), |v| v.to_string()),
+            ),
+        };
+        let line = stamp.map_or(1, |(line, _)| line);
+        violations.push(Violation::new(&rel, line, "schema-sync", message));
     }
     Ok(violations)
 }
