@@ -1,7 +1,5 @@
 //! The trace event alphabet and its canonical field rendering.
 
-use std::fmt::Write as _;
-
 /// One runtime event, as the engine saw it.
 ///
 /// All quantities are integers: instants and durations in microseconds,
@@ -130,21 +128,24 @@ impl TraceEvent {
         "session.end",
     ];
 
-    /// Appends the canonical `,"key":value` rendering of the event's
-    /// fields (key order fixed per kind).
-    pub(crate) fn render_fields(&self, out: &mut String) {
+    /// Calls `visit` with every `(key, value)` field of the event in
+    /// canonical order. This is the one place a kind's keys and their
+    /// order are declared: rendering, the hash chain and the reader's
+    /// key check all walk it.
+    pub(crate) fn visit_fields(&self, mut visit: impl FnMut(&'static str, Field<'_>)) {
+        use Field::{Bool, Int, Str};
         match self {
             TraceEvent::SessionStart {
                 policy,
                 seed,
                 cameras,
             } => {
-                out.push_str(",\"policy\":");
-                render_string(policy, out);
-                let _ = write!(out, ",\"seed\":{seed},\"cameras\":{cameras}");
+                visit("policy", Str(policy));
+                visit("seed", Int(*seed));
+                visit("cameras", Int(*cameras));
             }
             TraceEvent::CameraJoin { camera } | TraceEvent::CameraLeave { camera } => {
-                let _ = write!(out, ",\"camera\":{camera}");
+                visit("camera", Int(*camera));
             }
             TraceEvent::AdmissionVerdict {
                 patch,
@@ -154,15 +155,16 @@ impl TraceEvent {
                 in_flight,
                 earliest_start_us,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"patch\":{patch},\"slo_us\":{slo_us},\"admitted\":{admitted},\
-                     \"queued\":{queued},\"in_flight\":{in_flight},\
-                     \"earliest_start_us\":{earliest_start_us}"
-                );
+                visit("patch", Int(*patch));
+                visit("slo_us", Int(*slo_us));
+                visit("admitted", Bool(*admitted));
+                visit("queued", Int(*queued));
+                visit("in_flight", Int(*in_flight));
+                visit("earliest_start_us", Int(*earliest_start_us));
             }
             TraceEvent::DrrRound { released, backlog } => {
-                let _ = write!(out, ",\"released\":{released},\"backlog\":{backlog}");
+                visit("released", Int(*released));
+                visit("backlog", Int(*backlog));
             }
             TraceEvent::BatchDispatch {
                 batch,
@@ -170,26 +172,23 @@ impl TraceEvent {
                 inputs,
                 megapixels_e6,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"batch\":{batch},\"patches\":{patches},\"inputs\":{inputs},\
-                     \"megapixels_e6\":{megapixels_e6}"
-                );
+                visit("batch", Int(*batch));
+                visit("patches", Int(*patches));
+                visit("inputs", Int(*inputs));
+                visit("megapixels_e6", Int(*megapixels_e6));
             }
             TraceEvent::FunctionComplete {
                 invocation,
                 inputs,
                 violations,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"invocation\":{invocation},\"inputs\":{inputs},\"violations\":{violations}"
-                );
+                visit("invocation", Int(*invocation));
+                visit("inputs", Int(*inputs));
+                visit("violations", Int(*violations));
             }
             TraceEvent::FaultWindow { kind, until_us } => {
-                out.push_str(",\"fault\":");
-                render_string(kind, out);
-                let _ = write!(out, ",\"until_us\":{until_us}");
+                visit("fault", Str(kind));
+                visit("until_us", Int(*until_us));
             }
             TraceEvent::SessionEnd {
                 frames,
@@ -198,13 +197,24 @@ impl TraceEvent {
                 dropped,
                 makespan_us,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"frames\":{frames},\"batches\":{batches},\"completions\":{completions},\
-                     \"dropped\":{dropped},\"makespan_us\":{makespan_us}"
-                );
+                visit("frames", Int(*frames));
+                visit("batches", Int(*batches));
+                visit("completions", Int(*completions));
+                visit("dropped", Int(*dropped));
+                visit("makespan_us", Int(*makespan_us));
             }
         }
+    }
+
+    /// Writes the canonical `,"key":value` rendering of the event's
+    /// fields into `out`.
+    pub(crate) fn render_fields(&self, out: &mut impl Render) {
+        self.visit_fields(|key, value| {
+            out.text(",\"");
+            out.text(key);
+            out.text("\":");
+            value.render(out);
+        });
     }
 
     /// Rebuilds an event from its kind tag and parsed fields.
@@ -260,18 +270,92 @@ impl TraceEvent {
     }
 }
 
-/// Renders a JSON string literal (the only escapes trace strings need).
-pub(crate) fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
+/// A destination of the canonical rendering: the JSONL line (`String`)
+/// or the streaming hash state. Both take the same bytes in the same
+/// order, so the hash covers exactly what the line shows.
+pub(crate) trait Render {
+    /// Appends UTF-8 text.
+    fn text(&mut self, s: &str);
+    /// Appends ASCII bytes (rendered digits), skipping the UTF-8
+    /// validation a `&str` conversion would cost on every integer.
+    fn ascii(&mut self, bytes: &[u8]);
+}
+
+impl Render for String {
+    fn text(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn ascii(&mut self, bytes: &[u8]) {
+        self.extend(bytes.iter().map(|&b| char::from(b)));
+    }
+}
+
+/// One field value as [`TraceEvent::visit_fields`] yields it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Field<'a> {
+    Int(u64),
+    Bool(bool),
+    Str(&'a str),
+}
+
+impl Field<'_> {
+    /// Writes the value's canonical JSON rendering.
+    fn render(self, out: &mut impl Render) {
+        match self {
+            Field::Int(n) => out.ascii(decimal(n, &mut [0; 20])),
+            Field::Bool(b) => out.text(if b { "true" } else { "false" }),
+            Field::Str(s) => render_string(s, out),
         }
     }
-    out.push('"');
+}
+
+/// `"00" "01" … "99"`: two decimal digits per table entry.
+const PAIRS: [u8; 200] = {
+    let mut table = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Renders `n` in decimal into `buf`, two digits per step, without
+/// allocating.
+pub(crate) fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len();
+    while n >= 10 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if n > 0 || at == buf.len() {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    &buf[at..]
+}
+
+/// Renders a JSON string literal (the only escapes trace strings need).
+pub(crate) fn render_string(s: &str, out: &mut impl Render) {
+    out.text("\"");
+    let mut from = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            _ => continue,
+        };
+        out.text(&s[from..at]);
+        out.text(escape);
+        from = at + 1;
+    }
+    out.text(&s[from..]);
+    out.text("\"");
 }
 
 /// A parsed flat-JSON value (the trace alphabet needs no nesting).
@@ -376,9 +460,30 @@ mod tests {
     }
 
     #[test]
+    fn decimal_matches_display() {
+        for n in [
+            0,
+            7,
+            9,
+            10,
+            42,
+            99,
+            100,
+            101,
+            999,
+            1000,
+            65_536,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string().as_bytes(), "{n}");
+        }
+    }
+
+    #[test]
     fn string_rendering_escapes() {
         let mut out = String::new();
-        render_string("a\"b\\c", &mut out);
-        assert_eq!(out, r#""a\"b\\c""#);
+        render_string("a\"b\\c\nd", &mut out);
+        assert_eq!(out, r#""a\"b\\c\nd""#);
     }
 }

@@ -1,7 +1,6 @@
 //! Records, the rolling hash chain, JSONL rendering/parsing and diffs.
 
-use crate::event::{render_string, FieldValue, Fields, TraceEvent};
-use std::fmt::Write as _;
+use crate::event::{decimal, render_string, FieldValue, Fields, Render, TraceEvent};
 use tangram_types::time::SimTime;
 
 /// FNV-1a 64-bit offset basis.
@@ -18,10 +17,35 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
+/// A streaming FNV-1a state: the canonical rendering is written into it
+/// exactly as into a `String`, so the hash covers the same bytes
+/// without materialising them.
+struct Fnv(u64);
+
+impl Render for Fnv {
+    fn text(&mut self, s: &str) {
+        self.ascii(s.as_bytes());
+    }
+
+    fn ascii(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(self.0, bytes);
+    }
+}
+
 /// The chain anchor: the `prev` value of a stream's first record.
 #[must_use]
 pub fn chain_seed() -> u64 {
     fnv1a(FNV_OFFSET, b"tangram-trace-v1")
+}
+
+/// Renders `n` as exactly 16 lowercase hex digits.
+fn hex16(n: u64) -> [u8; 16] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut hex = [0; 16];
+    for (i, slot) in hex.iter_mut().enumerate() {
+        *slot = DIGITS[(n >> (60 - 4 * i)) as usize & 0xf];
+    }
+    hex
 }
 
 /// One emitted event plus its chain bookkeeping.
@@ -40,36 +64,53 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// The canonical body: everything the hash covers.
-    fn body(seq: u64, at_us: u64, event: &TraceEvent) -> String {
-        let mut body = String::new();
-        let _ = write!(body, "\"seq\":{seq},\"at_us\":{at_us},\"kind\":");
-        render_string(event.kind(), &mut body);
-        event.render_fields(&mut body);
-        body
+    /// Writes the canonical body — everything the hash covers:
+    /// `"seq":…,"at_us":…,"kind":"…"` and then the event's fields.
+    fn write_body(seq: u64, at_us: u64, event: &TraceEvent, out: &mut impl Render) {
+        let mut digits = [0; 20];
+        out.text("\"seq\":");
+        out.ascii(decimal(seq, &mut digits));
+        out.text(",\"at_us\":");
+        out.ascii(decimal(at_us, &mut digits));
+        out.text(",\"kind\":");
+        render_string(event.kind(), out);
+        event.render_fields(out);
     }
 
-    /// The hash this record must carry given its `prev`.
+    /// The hash this record must carry given its `prev`: FNV-1a over
+    /// `{prev:016x}|` and the canonical body, streamed without
+    /// allocating.
     fn chain(seq: u64, at_us: u64, event: &TraceEvent, prev: u64) -> u64 {
-        let mut state = fnv1a(FNV_OFFSET, format!("{prev:016x}|").as_bytes());
-        state = fnv1a(state, Self::body(seq, at_us, event).as_bytes());
-        state
+        let mut state = Fnv(FNV_OFFSET);
+        state.ascii(&hex16(prev));
+        state.text("|");
+        Self::write_body(seq, at_us, event, &mut state);
+        state.0
+    }
+
+    /// Appends the record's JSONL line (no trailing newline) to `out`.
+    fn write_line(&self, out: &mut String) {
+        out.push('{');
+        Self::write_body(self.seq, self.at_us, &self.event, out);
+        out.push_str(",\"prev\":\"");
+        out.ascii(&hex16(self.prev));
+        out.push_str("\",\"hash\":\"");
+        out.ascii(&hex16(self.hash));
+        out.push_str("\"}");
     }
 
     /// Renders the record as one JSONL line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        let mut line = String::from("{");
-        line.push_str(&Self::body(self.seq, self.at_us, &self.event));
-        let _ = write!(
-            line,
-            ",\"prev\":\"{:016x}\",\"hash\":\"{:016x}\"}}",
-            self.prev, self.hash
-        );
+        let mut line = String::new();
+        self.write_line(&mut line);
         line
     }
 
-    /// Parses one JSONL line.
+    /// Parses one JSONL line. Only the canonical rendering is accepted
+    /// — each key once, no key the kind does not declare, keys in
+    /// canonical order, no leading zeros, 16-digit lowercase hashes — so
+    /// every line that parses re-renders to its own bytes.
     pub fn from_line(line: &str) -> Result<TraceRecord, String> {
         let fields = parse_flat_object(line)?;
         let kind = fields.string("kind")?;
@@ -80,6 +121,7 @@ impl TraceRecord {
             hash: parse_hex(&fields.string("hash")?)?,
             event: TraceEvent::from_fields(&kind, &fields)?,
         };
+        check_keys(&fields, &record.event)?;
         Ok(record)
     }
 
@@ -90,14 +132,40 @@ impl TraceRecord {
     }
 }
 
+/// Checks that a parsed record carries exactly the keys its kind's
+/// visitor declares, in canonical order. Duplicates are rejected by the
+/// parser and missing keys by the field lookups, so past the unknown-key
+/// check only the order can differ.
+fn check_keys(fields: &Fields, event: &TraceEvent) -> Result<(), String> {
+    let mut canonical = vec!["seq", "at_us", "kind"];
+    event.visit_fields(|key, _| canonical.push(key));
+    canonical.extend(["prev", "hash"]);
+    let keys = || fields.pairs.iter().map(|(key, _)| key.as_str());
+    if let Some(key) = keys().find(|key| !canonical.contains(key)) {
+        return Err(format!("unknown field {key:?} for kind {:?}", event.kind()));
+    }
+    if !keys().eq(canonical.iter().copied()) {
+        return Err(format!(
+            "fields out of canonical order (expected {})",
+            canonical.join(",")
+        ));
+    }
+    Ok(())
+}
+
+/// Parses a chain hash: exactly 16 lowercase hex digits, as rendered.
 fn parse_hex(s: &str) -> Result<u64, String> {
+    if s.len() != 16 || !s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return Err(format!("bad hash {s:?}: expected 16 lowercase hex digits"));
+    }
     u64::from_str_radix(s, 16).map_err(|e| format!("bad hash {s:?}: {e}"))
 }
 
 /// Parses one flat JSON object (string / integer / bool values only) —
-/// exactly the shape [`TraceRecord::to_line`] emits.
+/// exactly the shape [`TraceRecord::to_line`] emits. Rejects duplicate
+/// keys and integers with leading zeros.
 fn parse_flat_object(line: &str) -> Result<Fields, String> {
-    let mut chars = line.trim().chars().peekable();
+    let mut chars = line.chars().peekable();
     let mut fields = Fields::default();
     if chars.next() != Some('{') {
         return Err("expected '{'".into());
@@ -108,6 +176,9 @@ fn parse_flat_object(line: &str) -> Result<Fields, String> {
     }
     loop {
         let key = parse_string(&mut chars)?;
+        if fields.pairs.iter().any(|(k, _)| *k == key) {
+            return Err(format!("duplicate field {key:?}"));
+        }
         if chars.next() != Some(':') {
             return Err(format!("field {key:?}: expected ':'"));
         }
@@ -131,6 +202,9 @@ fn parse_flat_object(line: &str) -> Result<Fields, String> {
                 let mut digits = String::new();
                 while chars.peek().is_some_and(char::is_ascii_digit) {
                     digits.push(chars.next().expect("peeked"));
+                }
+                if digits.len() > 1 && digits.starts_with('0') {
+                    return Err(format!("field {key:?}: leading zero in {digits}"));
                 }
                 FieldValue::Integer(digits.parse().map_err(|e| format!("field {key:?}: {e}"))?)
             }
@@ -302,7 +376,7 @@ impl TraceLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for record in &self.records {
-            out.push_str(&record.to_line());
+            record.write_line(&mut out);
             out.push('\n');
         }
         out
@@ -428,6 +502,258 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
+    use std::path::Path;
+
+    /// The string-building chain the streaming one replaced, kept as
+    /// its oracle: `format!("{prev:016x}|")` and a body grown in a
+    /// `String` through `write!`, both hashed after the fact.
+    fn oracle_chain(seq: u64, at_us: u64, event: &TraceEvent, prev: u64) -> u64 {
+        let state = fnv1a(FNV_OFFSET, format!("{prev:016x}|").as_bytes());
+        fnv1a(state, oracle_body(seq, at_us, event).as_bytes())
+    }
+
+    /// The oracle's JSONL line for `record`.
+    fn oracle_line(record: &TraceRecord) -> String {
+        format!(
+            "{{{},\"prev\":\"{:016x}\",\"hash\":\"{:016x}\"}}",
+            oracle_body(record.seq, record.at_us, &record.event),
+            record.prev,
+            record.hash
+        )
+    }
+
+    fn oracle_body(seq: u64, at_us: u64, event: &TraceEvent) -> String {
+        fn string(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        let mut out = String::new();
+        let _ = write!(out, "\"seq\":{seq},\"at_us\":{at_us},\"kind\":");
+        string(event.kind(), &mut out);
+        match event {
+            TraceEvent::SessionStart {
+                policy,
+                seed,
+                cameras,
+            } => {
+                out.push_str(",\"policy\":");
+                string(policy, &mut out);
+                let _ = write!(out, ",\"seed\":{seed},\"cameras\":{cameras}");
+            }
+            TraceEvent::CameraJoin { camera } | TraceEvent::CameraLeave { camera } => {
+                let _ = write!(out, ",\"camera\":{camera}");
+            }
+            TraceEvent::AdmissionVerdict {
+                patch,
+                slo_us,
+                admitted,
+                queued,
+                in_flight,
+                earliest_start_us,
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"patch\":{patch},\"slo_us\":{slo_us},\"admitted\":{admitted},\
+                     \"queued\":{queued},\"in_flight\":{in_flight},\
+                     \"earliest_start_us\":{earliest_start_us}"
+                );
+            }
+            TraceEvent::DrrRound { released, backlog } => {
+                let _ = write!(out, ",\"released\":{released},\"backlog\":{backlog}");
+            }
+            TraceEvent::BatchDispatch {
+                batch,
+                patches,
+                inputs,
+                megapixels_e6,
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"batch\":{batch},\"patches\":{patches},\"inputs\":{inputs},\
+                     \"megapixels_e6\":{megapixels_e6}"
+                );
+            }
+            TraceEvent::FunctionComplete {
+                invocation,
+                inputs,
+                violations,
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"invocation\":{invocation},\"inputs\":{inputs},\"violations\":{violations}"
+                );
+            }
+            TraceEvent::FaultWindow { kind, until_us } => {
+                out.push_str(",\"fault\":");
+                string(kind, &mut out);
+                let _ = write!(out, ",\"until_us\":{until_us}");
+            }
+            TraceEvent::SessionEnd {
+                frames,
+                batches,
+                completions,
+                dropped,
+                makespan_us,
+            } => {
+                let _ = write!(
+                    out,
+                    ",\"frames\":{frames},\"batches\":{batches},\"completions\":{completions},\
+                     \"dropped\":{dropped},\"makespan_us\":{makespan_us}"
+                );
+            }
+        }
+        out
+    }
+
+    /// Asserts that the streaming chain and renderer agree with the
+    /// oracle on every record of `log`.
+    fn assert_matches_oracle(log: &TraceLog, what: &str) {
+        for record in &log.records {
+            let (seq, at_us, event, prev) = (record.seq, record.at_us, &record.event, record.prev);
+            assert_eq!(
+                TraceRecord::chain(seq, at_us, event, prev),
+                oracle_chain(seq, at_us, event, prev),
+                "{what}: {}",
+                record.label()
+            );
+            assert_eq!(record.to_line(), oracle_line(record), "{what}");
+        }
+    }
+
+    /// A small fixed-seed generator (SplitMix64). The trace crate sits
+    /// beside `tangram-sim` on the dependency lattice, so its tests
+    /// cannot borrow `DetRng`.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Mostly the extremes and small values, sometimes anything.
+        fn int(&mut self) -> u64 {
+            match self.next() % 4 {
+                0 => u64::MAX,
+                1 => 0,
+                2 => self.next() % 1000,
+                _ => self.next() >> (self.next() % 64),
+            }
+        }
+
+        /// A string drawn from pieces that need escaping or take more
+        /// than one UTF-8 byte.
+        fn text(&mut self) -> String {
+            const PIECES: [&str; 9] = ["\"", "\\", "\n", "é", "雪", "🦀", "Tangram", " ", "\t"];
+            (0..self.next() % 6)
+                .map(|_| PIECES[(self.next() % PIECES.len() as u64) as usize])
+                .collect()
+        }
+
+        fn event(&mut self) -> TraceEvent {
+            match self.next() % 9 {
+                0 => TraceEvent::SessionStart {
+                    policy: self.text(),
+                    seed: self.int(),
+                    cameras: self.int(),
+                },
+                1 => TraceEvent::CameraJoin { camera: self.int() },
+                2 => TraceEvent::CameraLeave { camera: self.int() },
+                3 => TraceEvent::AdmissionVerdict {
+                    patch: self.int(),
+                    slo_us: self.int(),
+                    admitted: self.next().is_multiple_of(2),
+                    queued: self.int(),
+                    in_flight: self.int(),
+                    earliest_start_us: self.int(),
+                },
+                4 => TraceEvent::DrrRound {
+                    released: self.int(),
+                    backlog: self.int(),
+                },
+                5 => TraceEvent::BatchDispatch {
+                    batch: self.int(),
+                    patches: self.int(),
+                    inputs: self.int(),
+                    megapixels_e6: self.int(),
+                },
+                6 => TraceEvent::FunctionComplete {
+                    invocation: self.int(),
+                    inputs: self.int(),
+                    violations: self.int(),
+                },
+                7 => TraceEvent::FaultWindow {
+                    kind: self.text(),
+                    until_us: self.int(),
+                },
+                _ => TraceEvent::SessionEnd {
+                    frames: self.int(),
+                    batches: self.int(),
+                    completions: self.int(),
+                    dropped: self.int(),
+                    makespan_us: self.int(),
+                },
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_chain_matches_the_oracle_on_the_golden_traces() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&dir).expect("baselines directory") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if !(name.starts_with("TRACE_") && name.ends_with(".jsonl")) {
+                continue;
+            }
+            files += 1;
+            let text = std::fs::read_to_string(&path).expect("golden trace");
+            let log = TraceLog::from_jsonl(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!log.records.is_empty(), "{name}");
+            assert_matches_oracle(&log, name);
+            log.verify().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(log.to_jsonl(), text, "{name} re-renders to its own bytes");
+        }
+        assert_eq!(files, 2, "TRACE_smoke.jsonl and TRACE_overload.jsonl");
+    }
+
+    #[test]
+    fn streaming_chain_matches_the_oracle_on_generated_events() {
+        let mut rng = Mix(0x7ace_5eed);
+        let mut sink = TraceSink::new();
+        let mut at_us = 0;
+        let mut kinds = std::collections::BTreeSet::new();
+        for _ in 0..2000 {
+            let event = rng.event();
+            kinds.insert(event.kind());
+            at_us = at_us.max(rng.int());
+            sink.emit(SimTime::from_micros(at_us), event);
+        }
+        assert_eq!(kinds.len(), TraceEvent::KINDS.len(), "every kind drawn");
+        let log = sink.finish();
+        assert_matches_oracle(&log, "generated");
+        assert!(
+            log.records.iter().any(|r| r.at_us == u64::MAX),
+            "u64::MAX reached the renderer"
+        );
+        let text = log.to_jsonl();
+        let parsed = TraceLog::from_jsonl(&text).expect("generated stream parses");
+        assert_eq!(parsed, log);
+        parsed.verify().expect("generated chain verifies");
+    }
 
     fn sample() -> TraceLog {
         let mut sink = TraceSink::new();
@@ -573,5 +899,82 @@ mod tests {
             "{\"seq\":1,\"at_us\":0,\"kind\":\"bogus.kind\",\"prev\":\"0\",\"hash\":\"0\"}"
         )
         .is_err());
+    }
+
+    /// A canonical line to perturb in the reader tests.
+    fn canonical_line() -> String {
+        sample().records[2].to_line()
+    }
+
+    #[test]
+    fn reader_rejects_duplicate_keys() {
+        let line = canonical_line().replacen(",\"queued\":6", ",\"queued\":6,\"queued\":7", 1);
+        let err = TraceRecord::from_line(&line).expect_err("duplicate key");
+        assert!(err.contains("duplicate field \"queued\""), "{err}");
+    }
+
+    #[test]
+    fn reader_rejects_keys_the_kind_does_not_declare() {
+        let line = canonical_line().replacen(",\"queued\":6", ",\"queued\":6,\"camera\":1", 1);
+        let err = TraceRecord::from_line(&line).expect_err("undeclared key");
+        assert!(err.contains("unknown field \"camera\""), "{err}");
+    }
+
+    #[test]
+    fn reader_rejects_keys_out_of_canonical_order() {
+        let line = canonical_line().replacen(
+            "\"queued\":6,\"in_flight\":2",
+            "\"in_flight\":2,\"queued\":6",
+            1,
+        );
+        let err = TraceRecord::from_line(&line).expect_err("reordered keys");
+        assert!(err.contains("canonical order"), "{err}");
+    }
+
+    #[test]
+    fn reader_rejects_integers_with_leading_zeros() {
+        let line = canonical_line().replacen("\"queued\":6", "\"queued\":06", 1);
+        let err = TraceRecord::from_line(&line).expect_err("leading zero");
+        assert!(err.contains("leading zero"), "{err}");
+        // A lone zero is canonical.
+        let zero = sample().records[3].to_line();
+        assert!(zero.contains("\"batch\":0,"), "{zero}");
+        assert!(TraceRecord::from_line(&zero).is_ok());
+    }
+
+    #[test]
+    fn reader_rejects_non_canonical_hashes() {
+        let line = canonical_line();
+        let record = TraceRecord::from_line(&line).expect("canonical");
+        let hash = format!("{:016x}", record.hash);
+        for bad in [
+            format!("+{}", &hash[1..]),
+            hash.to_uppercase(),
+            hash[..15].to_string(),
+            format!("0{hash}"),
+            "1f".to_string(),
+        ] {
+            if bad == hash {
+                continue;
+            }
+            let line = line.replacen(&hash, &bad, 1);
+            let err = TraceRecord::from_line(&line).expect_err(&bad);
+            assert!(err.contains("16 lowercase hex digits"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn reader_rejects_surrounding_whitespace() {
+        let line = canonical_line();
+        assert!(TraceRecord::from_line(&format!(" {line}")).is_err());
+        assert!(TraceRecord::from_line(&format!("{line}\r")).is_err());
+    }
+
+    #[test]
+    fn log_errors_name_the_line() {
+        let mut lines: Vec<String> = sample().records.iter().map(TraceRecord::to_line).collect();
+        lines[3] = lines[3].replacen("\"batch\":0", "\"batch\":00", 1);
+        let err = TraceLog::from_jsonl(&lines.join("\n")).expect_err("bad line 4");
+        assert!(err.starts_with("line 4: "), "{err}");
     }
 }

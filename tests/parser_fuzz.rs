@@ -1,19 +1,23 @@
-//! Deterministic mutational fuzzing of the two hand-rolled input
-//! parsers: BENCH JSON (`tangram_harness::json`, read by `bench_gate`)
-//! and scenario TOML (`tangram_harness::toml`, read by every scenario
-//! run). Each committed `baselines/BENCH_*.json` and
-//! `config/scenarios/*.toml` is mutated byte-wise by a fixed-seed
-//! `DetRng` for a fixed budget, so the run is the same on every machine
-//! and needs no fuzzing toolchain. Every mutant must parse or return an
-//! error — never panic or overflow the stack — and every mutant that
-//! parses must survive `parse(render(v)) == v`.
+//! Deterministic mutational fuzzing of the three hand-rolled input
+//! parsers: BENCH JSON (`tangram_harness::json`, read by `bench_gate`),
+//! scenario TOML (`tangram_harness::toml`, read by every scenario run)
+//! and TRACE JSONL (`tangram_trace`, read by `bench_gate --trace` and
+//! `trace_tool`). Each committed `baselines/BENCH_*.json`,
+//! `baselines/TRACE_*.jsonl` and `config/scenarios/*.toml` is mutated
+//! byte-wise by a fixed-seed `DetRng` for a fixed budget, so the run is
+//! the same on every machine and needs no fuzzing toolchain. Every
+//! mutant must parse or return an error — never panic or overflow the
+//! stack — and every mutant that parses must survive
+//! `parse(render(v)) == v`.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use tangram_harness::json::Json;
 use tangram_harness::toml::{TomlDocument, TomlEntry, TomlValue};
 use tangram_harness::{BenchReport, CountsReport, ScenarioFile};
 use tangram_sim::rng::DetRng;
+use tangram_trace::{TraceLog, TraceRecord};
 
 /// Root seed of every mutant stream.
 const SEED: u64 = 0x7a_9f02;
@@ -241,4 +245,43 @@ fn scenario_toml_mutants_parse_or_error_and_round_trip() {
     });
     assert!(documents > 0, "no TOML mutant parsed");
     assert!(scenarios > 0, "no mutant passed scenario validation");
+}
+
+#[test]
+fn trace_jsonl_mutants_parse_or_error_and_re_render() {
+    let files = corpus("baselines", "TRACE_", ".jsonl");
+    assert_eq!(files.len(), 2, "TRACE_smoke.jsonl and TRACE_overload.jsonl");
+    // Unmutated lines are canonical already (the trace crate's golden
+    // tests pin that); only lines a mutation produced need the check.
+    let originals: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|(_, bytes)| std::str::from_utf8(bytes).expect("utf-8 trace").lines())
+        .collect();
+    let (mut logs, mut mutated_lines) = (0, 0);
+    fuzz(&files, "trace", |id, text| {
+        if let Ok(log) = TraceLog::from_jsonl(text) {
+            logs += 1;
+            // The chain check and the folds run on anything that parses.
+            let _ = log.verify();
+            let _ = log.replay_counts();
+            assert_eq!(
+                TraceLog::from_jsonl(&log.to_jsonl()).as_ref(),
+                Ok(&log),
+                "{id}"
+            );
+        }
+        // Every record line that parses is canonical: it re-renders to
+        // its own bytes.
+        for (n, line) in text.lines().enumerate() {
+            if originals.contains(line) {
+                continue;
+            }
+            if let Ok(record) = TraceRecord::from_line(line) {
+                mutated_lines += 1;
+                assert_eq!(record.to_line(), line, "{id} line {}", n + 1);
+            }
+        }
+    });
+    assert!(logs > 0, "no TRACE mutant parsed");
+    assert!(mutated_lines > 0, "no mutated record line parsed");
 }
